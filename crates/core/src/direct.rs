@@ -78,7 +78,7 @@ pub fn adjunct_of_monomial(
     for &a in m.support().iter() {
         let (rel, tuple) = db
             .tuple_of(a)
-            .ok_or_else(|| DirectError::UnknownAnnotation(a.name()))?;
+            .ok_or_else(|| DirectError::UnknownAnnotation(a.name().to_owned()))?;
         let args: Vec<Term> = tuple.values().iter().map(|&v| term_for(v)).collect();
         atoms.push(Atom::new(*rel, args));
     }

@@ -84,7 +84,7 @@ impl Program {
                 .collect();
             if ready.is_empty() {
                 let culprit = remaining.keys().next().expect("non-empty");
-                return Err(ProgramError::Recursive(culprit.name()));
+                return Err(ProgramError::Recursive(culprit.name().to_owned()));
             }
             for p in ready {
                 remaining.remove(&p);

@@ -23,7 +23,7 @@ impl Variable {
     }
 
     /// The variable's name.
-    pub fn name(&self) -> String {
+    pub fn name(&self) -> &'static str {
         VAR_POOL.name(self.0)
     }
 
@@ -35,7 +35,7 @@ impl Variable {
 
 impl fmt::Display for Variable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
+        f.write_str(self.name())
     }
 }
 

@@ -2,70 +2,41 @@
 //!
 //! The paper annotates every input tuple with an element of a set `X` of
 //! provenance tokens (`s1`, `s2`, ...). Annotations are interned: each is a
-//! small copyable id, and the id-to-name mapping lives in a global registry
-//! so that polynomials display exactly as in the paper.
+//! small copyable id, and the id-to-name mapping lives in a global
+//! [`Interner`] pool so that polynomials display exactly as in the paper.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+
+use crate::intern::Interner;
+
+static ANNOTATION_POOL: Interner = Interner::new();
 
 /// An interned provenance annotation (an element of the variable set `X`).
 ///
 /// Annotations are cheap to copy and compare; their human-readable name is
-/// held by the global registry.
+/// held by the global pool.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Annotation(u32);
-
-struct Registry {
-    names: Vec<String>,
-    by_name: HashMap<String, u32>,
-}
-
-impl Registry {
-    fn new() -> Self {
-        Registry {
-            names: Vec::new(),
-            by_name: HashMap::new(),
-        }
-    }
-}
-
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Registry::new()))
-}
 
 impl Annotation {
     /// Interns `name` and returns its annotation. Repeated calls with the
     /// same name return the same annotation.
     pub fn new(name: &str) -> Self {
-        let mut reg = registry().lock().expect("annotation registry poisoned");
-        if let Some(&id) = reg.by_name.get(name) {
-            return Annotation(id);
-        }
-        let id = u32::try_from(reg.names.len()).expect("annotation registry overflow");
-        reg.names.push(name.to_owned());
-        reg.by_name.insert(name.to_owned(), id);
-        Annotation(id)
+        Annotation(ANNOTATION_POOL.intern(name))
     }
 
     /// Creates a fresh annotation with a unique generated name (`@k`).
     ///
     /// Used to abstractly tag generated databases: every call yields an
-    /// annotation distinct from every previously created one.
+    /// annotation distinct from every previously created one, by id and
+    /// by name.
     pub fn fresh() -> Self {
-        let mut reg = registry().lock().expect("annotation registry poisoned");
-        let id = u32::try_from(reg.names.len()).expect("annotation registry overflow");
-        let name = format!("@{id}");
-        reg.names.push(name.clone());
-        reg.by_name.insert(name, id);
-        Annotation(id)
+        Annotation(ANNOTATION_POOL.fresh("@"))
     }
 
     /// The interned name of this annotation.
-    pub fn name(&self) -> String {
-        let reg = registry().lock().expect("annotation registry poisoned");
-        reg.names[self.0 as usize].clone()
+    pub fn name(&self) -> &'static str {
+        ANNOTATION_POOL.name(self.0)
     }
 
     /// The raw interned id. Stable within a process, useful as an index.
@@ -76,7 +47,7 @@ impl Annotation {
 
 impl fmt::Display for Annotation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
+        f.write_str(self.name())
     }
 }
 
@@ -117,6 +88,24 @@ mod tests {
         let b = Annotation::fresh();
         assert_ne!(a, b);
         assert_ne!(a.name(), b.name());
+    }
+
+    #[test]
+    fn fresh_never_aliases_a_user_named_at_k() {
+        // `fresh` names id k `@k`. User annotations spelled `@(k+1)`,
+        // `@(k+2)`, … take ids k, k+1, …, so after them the next id's
+        // `@k` name is already taken: `fresh` must skip it rather than
+        // hand the same name out under a second id.
+        let next = ANNOTATION_POOL.count();
+        let taken: Vec<Annotation> = (next + 1..=next + 4)
+            .map(|k| Annotation::new(&format!("@{k}")))
+            .collect();
+        let fresh = Annotation::fresh();
+        for a in &taken {
+            assert_ne!(fresh, *a);
+            assert_ne!(fresh.name(), a.name(), "fresh aliased {a:?}");
+        }
+        assert_eq!(Annotation::new(fresh.name()), fresh, "two ids share a name");
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //!   the crate root: [`Natural`], [`Boolean`], [`Tropical`], …);
 //! * the provenance semiring `N[X]` itself: interned [`Annotation`]s,
 //!   [`Monomial`]s (one per assignment) and [`Polynomial`]s (paper §2.3);
+//! * the [`Interner`] behind every symbol type of the workspace
+//!   (annotations here; values, relation names and variables
+//!   downstream), whose name lookups are lock-free;
 //! * the terseness **order relation** `p ≤ p'` on polynomials
 //!   (paper Definition 2.15), decided by bipartite b-matching ([`order`]);
 //! * the PTIME **direct core-provenance** transformation of
@@ -21,6 +24,7 @@
 
 mod annotation;
 mod flow;
+mod intern;
 mod kinds;
 mod monomial;
 mod polynomial;
@@ -34,6 +38,7 @@ pub mod why;
 
 pub use annotation::Annotation;
 pub use flow::{saturating_b_matching, saturating_b_matching_flows, FlowNetwork};
+pub use intern::Interner;
 pub use kinds::{Boolean, Clearance, Confidence, Natural, Tropical};
 pub use monomial::{Monomial, MonomialBuilder};
 pub use polynomial::Polynomial;

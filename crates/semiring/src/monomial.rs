@@ -236,7 +236,7 @@ impl fmt::Display for Monomial {
             if i > 0 {
                 f.write_str("·")?;
             }
-            write!(f, "{a}")?;
+            f.write_str(a.name())?;
         }
         Ok(())
     }

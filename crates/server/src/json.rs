@@ -64,6 +64,7 @@ impl Json {
     /// Parses `text` as a single JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -158,23 +159,38 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+/// Writes `s` as a quoted JSON string literal. Every byte that needs an
+/// escape is ASCII (`"`, `\`, or a control byte below 0x20), so the text
+/// between two of them is copied whole in one `write_str`.
+pub(crate) fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let code: [u8; 6];
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..0x20 => {
+                let (hi, lo) = (HEX[usize::from(byte >> 4)], HEX[usize::from(byte & 0xf)]);
+                code = [b'\\', b'u', b'0', b'0', hi, lo];
+                std::str::from_utf8(&code).expect("ascii escape")
+            }
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        out.write_str(escape)?;
+        run = i + 1;
     }
-    f.write_str("\"")
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -367,13 +383,14 @@ impl<'a> Parser<'a> {
                     return Err(self.err("unescaped control character"));
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so this is safe
-                    // to slice on char boundaries found via the width table).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte whole. Those are all ASCII, so both
+                    // ends of the run are char boundaries of the input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -395,6 +412,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_flat_request_object() {
@@ -466,5 +484,85 @@ mod tests {
     fn duplicate_keys_last_wins() {
         let j = Json::parse(r#"{"k": 1, "k": 2}"#).expect("parses");
         assert_eq!(j.get("k").and_then(Json::as_u64), Some(2));
+    }
+
+    #[test]
+    fn long_non_ascii_strings_parse_in_linear_time() {
+        // 128Ki two-byte `·` characters: 256 KiB of string body.
+        let text = "·".repeat(128 * 1024);
+        let body = Json::Obj(vec![("query".to_owned(), Json::Str(text.clone()))]).to_string();
+        assert_eq!(body.len(), 256 * 1024 + r#"{"query":""}"#.len());
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&body).expect("parses");
+        assert_eq!(
+            parsed.get("query").and_then(Json::as_str),
+            Some(text.as_str())
+        );
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "parse took {:?}",
+            started.elapsed()
+        );
+    }
+
+    /// The escaper as it was written before run copying: one formatter
+    /// call per character. The reference the byte escaper must match.
+    fn escaped_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push_str(&format!("{c}")),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// A string of `len` characters drawn mostly from the ones escaping
+    /// treats specially, seeded by `seed`.
+    fn tricky_string(seed: u64, len: usize) -> String {
+        const PICKS: [char; 12] = [
+            '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', '·', '🦀', 'a', ' ',
+        ];
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..len)
+            .map(|_| {
+                let roll = next();
+                match roll % 4 {
+                    // Any scalar value, astral planes included.
+                    0 => char::from_u32((roll >> 8) as u32 % 0x11_0000).unwrap_or('\u{fffd}'),
+                    1 => char::from_u32((roll >> 8) as u32 % 0x20).expect("control"),
+                    _ => PICKS[(roll >> 8) as usize % PICKS.len()],
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn byte_escaper_matches_per_char_escaping(seed in 0u64..u64::MAX, len in 0usize..48) {
+            let s = tricky_string(seed, len);
+            let expected = escaped_per_char(&s);
+            prop_assert_eq!(Json::Str(s.clone()).to_string(), expected.clone());
+            let mut direct = String::new();
+            write_escaped(&mut direct, &s).expect("writing to a String cannot fail");
+            prop_assert_eq!(direct, expected);
+            prop_assert_eq!(Json::parse(&Json::Str(s.clone()).to_string()).expect("parses"), Json::Str(s));
+        }
     }
 }

@@ -15,6 +15,7 @@
 //! performs. With `Accept: text/plain` the response body *is* the CLI
 //! stdout, byte for byte.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use prov_core::minimize::{minimize_with, MinimizeOutcome};
@@ -24,8 +25,8 @@ use prov_semiring::Annotation;
 use prov_storage::textio::parse_tuple_line;
 use prov_storage::{Database, RelName, Tuple};
 
-use crate::http::{Request, Response, STREAM_SEGMENT_BYTES};
-use crate::json::Json;
+use crate::http::{Body, Request, Response, STREAM_SEGMENT_BYTES};
+use crate::json::{self, Json};
 use crate::state::ServerState;
 use crate::stats::Endpoint;
 use crate::{budget, VERSION};
@@ -81,17 +82,6 @@ fn query_field(body: &Json) -> Result<UnionQuery, Response> {
         .and_then(Json::as_str)
         .ok_or_else(|| Response::error(400, "missing string field \"query\""))?;
     parse_query(text)
-}
-
-/// Renders an annotated result exactly as `provmin eval` prints it.
-fn result_lines(result: &prov_engine::AnnotatedResult) -> Vec<String> {
-    if result.is_empty() {
-        return vec!["(empty result)".to_owned()];
-    }
-    result
-        .iter()
-        .map(|(tuple, p)| format!("{tuple}  [{p}]"))
-        .collect()
 }
 
 /// Builds a database from text without ever panicking: beyond per-line
@@ -326,118 +316,135 @@ fn handle_eval(state: &ServerState, request: &Request) -> Response {
     let result = state.session().eval_ucq_with(&query, &db, options);
     let generation = db.generation();
     drop(db);
-    if request.wants_text() {
-        if result.len() > STREAM_ROWS_THRESHOLD {
-            return streamed_text_eval(result);
-        }
-        return Response::text(200, result_lines(&result).join("\n") + "\n");
-    }
-    let stats = state.session().stats();
-    if result.len() > STREAM_ROWS_THRESHOLD {
-        return streamed_json_eval(result, generation, &stats);
-    }
-    let lines = result_lines(&result);
-    Response::json(
-        200,
-        &Json::Obj(vec![
+    let (format, content_type, head) = if request.wants_text() {
+        (RowFormat::Text, "text/plain; charset=utf-8", String::new())
+    } else {
+        let mut head = Json::Obj(vec![
             ("generation".to_owned(), Json::from_u64(generation)),
             ("rows".to_owned(), Json::from_u64(result.len() as u64)),
-            ("cache".to_owned(), cache_json(&stats)),
-            (
-                "results".to_owned(),
-                Json::Arr(lines.into_iter().map(Json::Str).collect()),
-            ),
-        ]),
-    )
+            ("cache".to_owned(), cache_json(&state.session().stats())),
+        ])
+        .to_string();
+        // NOT inside a debug_assert: the pop must happen in release
+        // builds too, or the prefix keeps the closing brace and the wire
+        // JSON is malformed.
+        let closing = head.pop();
+        debug_assert_eq!(closing, Some('}'));
+        head.push_str(",\"results\":[");
+        (RowFormat::Json, "application/json", head)
+    };
+    let streamed = result.len() > STREAM_ROWS_THRESHOLD;
+    let mut body = EvalBody::new(result, format, head);
+    if streamed {
+        return Response::streamed(
+            200,
+            content_type,
+            Box::new(move || body.next_segment(STREAM_SEGMENT_BYTES)),
+        );
+    }
+    Response {
+        status: 200,
+        content_type,
+        body: Body::Bytes(body.next_segment(usize::MAX).unwrap_or_default()),
+    }
 }
 
-/// Streams a large text-mode `/eval` result: each chunked segment holds
-/// roughly [`STREAM_SEGMENT_BYTES`] of rendered lines, and the cursor —
-/// the last tuple written — re-seeks into the shared `BTreeMap` result in
-/// O(log n), so the full serialization never exists in memory and the
+/// How an `/eval` body lays out its rows.
+#[derive(Clone, Copy)]
+enum RowFormat {
+    /// One newline-terminated line per row: `provmin eval`'s stdout.
+    Text,
+    /// One escaped JSON string per row, inside the `results` array.
+    Json,
+}
+
+/// The `/eval` body behind all four render paths (text or JSON, buffered
+/// or streamed). Each row is rendered exactly once, as `provmin eval`
+/// prints it (`(a)  [s2·s3 + s1]`), into a reused line buffer and copied
+/// straight into the current segment: verbatim for text, through the
+/// run-copying JSON escaper for JSON.
+///
+/// A segment closes once it holds `limit` bytes. The cursor — the last
+/// tuple written — re-seeks into the shared `BTreeMap` result in
+/// O(log n), so a streamed answer never exists whole in memory and the
 /// `Arc` keeps the result alive without copying it per connection.
-fn streamed_text_eval(result: Arc<AnnotatedResult>) -> Response {
-    let mut cursor: Option<Tuple> = None;
-    Response::streamed(
-        200,
-        "text/plain; charset=utf-8",
-        Box::new(move || {
-            let mut seg = Vec::with_capacity(STREAM_SEGMENT_BYTES + 1024);
-            let mut last: Option<Tuple> = None;
-            for (tuple, p) in result.iter_from(cursor.as_ref()) {
-                seg.extend_from_slice(format!("{tuple}  [{p}]\n").as_bytes());
-                last = Some(tuple.clone());
-                if seg.len() >= STREAM_SEGMENT_BYTES {
-                    break;
-                }
-            }
-            let advanced = last?;
-            cursor = Some(advanced);
-            Some(seg)
-        }),
-    )
+struct EvalBody {
+    result: Arc<AnnotatedResult>,
+    format: RowFormat,
+    /// Bytes owed to the next segment: the JSON object head, plus the
+    /// `(empty result)` row when there are no tuples.
+    pending: String,
+    line: String,
+    cursor: Option<Tuple>,
+    wrote_row: bool,
+    done: bool,
 }
 
-/// Streams a large JSON-mode `/eval` result, byte-compatible with the
-/// buffered rendering: the object head (generation/rows/cache) rides in
-/// the first segment, then the `results` array is emitted incrementally
-/// with the same cursor scheme as [`streamed_text_eval`].
-fn streamed_json_eval(
-    result: Arc<AnnotatedResult>,
-    generation: u64,
-    stats: &prov_engine::SessionStats,
-) -> Response {
-    let mut head = Json::Obj(vec![
-        ("generation".to_owned(), Json::from_u64(generation)),
-        ("rows".to_owned(), Json::from_u64(result.len() as u64)),
-        ("cache".to_owned(), cache_json(stats)),
-    ])
-    .to_string();
-    // NOT inside a debug_assert: the pop must happen in release builds
-    // too, or the streamed prefix keeps the closing brace and the wire
-    // JSON is malformed.
-    let closing = head.pop();
-    debug_assert_eq!(closing, Some('}'));
-    head.push_str(",\"results\":[");
-    let mut head = Some(head.into_bytes());
-    let mut cursor: Option<Tuple> = None;
-    let mut emitted_any = false;
-    let mut done = false;
-    Response::streamed(
-        200,
-        "application/json",
-        Box::new(move || {
-            if done {
-                return None;
+impl EvalBody {
+    fn new(result: Arc<AnnotatedResult>, format: RowFormat, head: String) -> Self {
+        let mut pending = head;
+        let empty = result.is_empty();
+        if empty {
+            push_row(format, &mut pending, "(empty result)", true);
+        }
+        EvalBody {
+            result,
+            format,
+            pending,
+            line: String::new(),
+            cursor: None,
+            wrote_row: empty,
+            done: false,
+        }
+    }
+
+    /// The next segment of the body, or `None` once it is complete.
+    fn next_segment(&mut self, limit: usize) -> Option<Vec<u8>> {
+        if self.done {
+            return None;
+        }
+        let mut seg = std::mem::take(&mut self.pending);
+        let mut last = None;
+        let mut exhausted = true;
+        for (tuple, p) in self.result.iter_from(self.cursor.as_ref()) {
+            self.line.clear();
+            write!(self.line, "{tuple}  [{p}]").expect("writing to a String cannot fail");
+            push_row(self.format, &mut seg, &self.line, !self.wrote_row);
+            self.wrote_row = true;
+            last = Some(tuple);
+            if seg.len() >= limit {
+                exhausted = false;
+                break;
             }
-            let mut seg = head.take().unwrap_or_default();
-            seg.reserve(STREAM_SEGMENT_BYTES + 1024);
-            let mut last: Option<Tuple> = None;
-            for (tuple, p) in result.iter_from(cursor.as_ref()) {
-                if emitted_any || last.is_some() {
-                    seg.push(b',');
-                }
-                let line = Json::Str(format!("{tuple}  [{p}]")).to_string();
-                seg.extend_from_slice(line.as_bytes());
-                last = Some(tuple.clone());
-                if seg.len() >= STREAM_SEGMENT_BYTES {
-                    break;
-                }
+        }
+        if let Some(tuple) = last.cloned() {
+            self.cursor = Some(tuple);
+        }
+        if exhausted {
+            self.done = true;
+            if let RowFormat::Json = self.format {
+                seg.push_str("]}");
             }
-            match last {
-                Some(advanced) => {
-                    cursor = Some(advanced);
-                    emitted_any = true;
-                    Some(seg)
-                }
-                None => {
-                    done = true;
-                    seg.extend_from_slice(b"]}");
-                    Some(seg)
-                }
+        }
+        (!seg.is_empty()).then(|| seg.into_bytes())
+    }
+}
+
+/// Appends one rendered row to `seg`; `first` marks the body's first row
+/// (no separating comma in JSON).
+fn push_row(format: RowFormat, seg: &mut String, line: &str, first: bool) {
+    match format {
+        RowFormat::Text => {
+            seg.push_str(line);
+            seg.push('\n');
+        }
+        RowFormat::Json => {
+            if !first {
+                seg.push(',');
             }
-        }),
-    )
+            json::write_escaped(seg, line).expect("writing to a String cannot fail");
+        }
+    }
 }
 
 /// The cache counters object shared by `/eval` and `/stats`: the view
@@ -633,9 +640,15 @@ mod tests {
         }
     }
 
+    /// Parses a JSON response body, checking that its bytes are exactly
+    /// `Json`'s own compact serialization (the `/eval` row writer builds
+    /// its bodies without going through `Json`).
     fn body_json(resp: Response) -> Json {
         let bytes = resp.into_body_bytes();
-        Json::parse(std::str::from_utf8(&bytes).expect("utf8")).expect("json body")
+        let text = std::str::from_utf8(&bytes).expect("utf8");
+        let json = Json::parse(text).expect("json body");
+        assert_eq!(json.to_string(), text);
+        json
     }
 
     fn loaded_state() -> ServerState {

@@ -10,7 +10,6 @@
 
 mod columnar;
 mod database;
-mod intern;
 mod relation;
 mod tuple;
 mod valuation;
@@ -28,7 +27,7 @@ pub use database::{ensure_generation_floor, Database, DeltaEvent, DeltaKind, DEL
 pub use durability::{
     recover_readonly, DurabilityCounters, DurabilityOptions, DurableStore, RecoveryReport,
 };
-pub use intern::Interner;
+pub use prov_semiring::Interner;
 pub use relation::Relation;
 pub use shard::{RelationShards, ShardedDatabase};
 pub use tuple::Tuple;

@@ -167,16 +167,16 @@ pub fn checked_insert(
 /// the record payload format of the write-ahead log.
 pub fn render_tuple_line(rel: RelName, tuple: &Tuple, annotation: Annotation) -> String {
     let mut out = String::new();
-    out.push_str(&rel.name());
+    out.push_str(rel.name());
     out.push('(');
     for (i, v) in tuple.values().iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&v.name());
+        out.push_str(v.name());
     }
     out.push_str(") : ");
-    out.push_str(&annotation.name());
+    out.push_str(annotation.name());
     out
 }
 

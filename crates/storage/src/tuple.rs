@@ -51,7 +51,7 @@ impl fmt::Display for Tuple {
             if i > 0 {
                 f.write_str(",")?;
             }
-            write!(f, "{v}")?;
+            f.write_str(v.name())?;
         }
         f.write_str(")")
     }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::intern::Interner;
+use prov_semiring::Interner;
 
 static VALUE_POOL: Interner = Interner::new();
 static REL_POOL: Interner = Interner::new();
@@ -28,7 +28,7 @@ impl Value {
     }
 
     /// The value's name.
-    pub fn name(&self) -> String {
+    pub fn name(&self) -> &'static str {
         VALUE_POOL.name(self.0)
     }
 
@@ -57,7 +57,7 @@ impl Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
+        f.write_str(self.name())
     }
 }
 
@@ -84,7 +84,7 @@ impl RelName {
     }
 
     /// The relation's name.
-    pub fn name(&self) -> String {
+    pub fn name(&self) -> &'static str {
         REL_POOL.name(self.0)
     }
 
@@ -96,7 +96,7 @@ impl RelName {
 
 impl fmt::Display for RelName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
+        f.write_str(self.name())
     }
 }
 

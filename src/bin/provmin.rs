@@ -79,6 +79,7 @@
 //! `ans(x) :- R(x,y), R(y,x), x != y ; ans(x) :- R(x,x)`.
 //! Databases use the text format: one `R(a, b) : s1` per line.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicI32, Ordering};
 
@@ -726,18 +727,36 @@ fn run_with_db(
             stats.peak_frontier_rows
         );
     }
+    // One locked, buffered stdout for every row: `println!` would cost a
+    // write(2) per row on line-buffered stdout.
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    let printed = write_rows(&mut out, cmd, &result, &q, &db);
+    // Rows rendered before a failing core still reach stdout, as they
+    // did when each row was printed on its own.
+    let flushed = out.flush().map_err(|e| format!("stdout: {e}"));
+    printed.and(flushed)
+}
+
+/// Writes `eval`/`core` output rows, one per tuple.
+fn write_rows(
+    out: &mut impl Write,
+    cmd: &str,
+    result: &provmin::engine::AnnotatedResult,
+    q: &UnionQuery,
+    db: &Database,
+) -> Result<(), String> {
+    let io = |e: std::io::Error| format!("stdout: {e}");
     if result.is_empty() {
-        println!("(empty result)");
-        return Ok(());
+        return writeln!(out, "(empty result)").map_err(io);
     }
     for (tuple, p) in result.iter() {
         match cmd {
-            "eval" => println!("{tuple}  [{p}]"),
+            "eval" => writeln!(out, "{tuple}  [{p}]").map_err(io)?,
             _core => {
                 let consts = q.constants();
-                let core = exact_core(p, &db, tuple, &consts)
+                let core = exact_core(p, db, tuple, &consts)
                     .map_err(|e| format!("core of {tuple}: {e}"))?;
-                println!("{tuple}  [{core}]   (from [{p}])");
+                writeln!(out, "{tuple}  [{core}]   (from [{p}])").map_err(io)?;
             }
         }
     }

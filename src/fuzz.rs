@@ -393,7 +393,7 @@ where
     let mut valuation = Valuation::constant(K::one());
     for relation in db.relations() {
         for (_, annotation) in relation.iter() {
-            valuation.set(*annotation, value_of(fnv(&annotation.name())));
+            valuation.set(*annotation, value_of(fnv(annotation.name())));
         }
     }
     valuation

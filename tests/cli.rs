@@ -113,6 +113,25 @@ fn malformed_database_is_1_and_missing_file_is_1() {
 }
 
 #[test]
+fn stdout_write_failure_is_1_not_a_panic() {
+    // /dev/full accepts the open and fails every write with ENOSPC.
+    let Ok(full) = std::fs::File::create("/dev/full") else {
+        return;
+    };
+    let db = TempDb::new("stdout_full", TABLE_2);
+    for cmd in ["eval", "core"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_provmin"))
+            .args([cmd, db.path(), "ans(x) :- R(x,x)"])
+            .stdout(full.try_clone().expect("dup /dev/full"))
+            .output()
+            .expect("provmin binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(code(&output), 1, "{cmd}: {stderr}");
+        assert!(stderr.starts_with("error: stdout:"), "{cmd}: {stderr}");
+    }
+}
+
+#[test]
 fn usage_errors_are_2() {
     assert_eq!(code(&provmin(&[])), 2);
     assert_eq!(code(&provmin(&["frobnicate"])), 2);
