@@ -62,7 +62,7 @@ criterion_main!(benches);
 // `prov_bench::recorder` time the insert and delete halves separately;
 // this criterion group tracks the full cycle.)
 fn bench_incremental_maintenance(c: &mut Criterion) {
-    use prov_engine::{EvalOptions, EvalSession};
+    use prov_engine::EvalSession;
     use prov_storage::{RelName, Tuple};
     let qconj = parse_cq("ans(x) :- R(x,y), R(y,x)").unwrap();
     let rel = RelName::new("R");
@@ -70,7 +70,7 @@ fn bench_incremental_maintenance(c: &mut Criterion) {
     let db0 = binary_db(800, 30, 1);
     let mut group = c.benchmark_group("incremental_qconj");
     group.bench_function("delta_cycle/800", |b| {
-        let session = EvalSession::with_options(EvalOptions::batched());
+        let session = EvalSession::new();
         let mut db = db0.clone();
         session.eval_cq(&qconj, &db);
         b.iter(|| {
@@ -84,7 +84,7 @@ fn bench_incremental_maintenance(c: &mut Criterion) {
         let mut db = db0.clone();
         b.iter(|| {
             db.add("R", &["inc_x", "inc_x"], "inc_a");
-            let cold = EvalSession::with_options(EvalOptions::batched());
+            let cold = EvalSession::new();
             black_box(cold.eval_cq(&qconj, &db));
             db.remove(rel, &fresh);
         })
@@ -92,9 +92,7 @@ fn bench_incremental_maintenance(c: &mut Criterion) {
     group.finish();
 }
 
-// Columnar batched pipeline vs tuple-at-a-time, cold and through a warm
-// persistent EvalSession (results are bit-identical across all of them —
-// the three-way equivalence proptest; only wall-clock differs).
+// The batched pipeline cold and through a warm persistent EvalSession.
 fn bench_batched_eval(c: &mut Criterion) {
     use prov_engine::{eval_cq_with, EvalOptions, EvalSession};
     let qconj = parse_cq("ans(x) :- R(x,y), R(y,x)").unwrap();
@@ -102,18 +100,15 @@ fn bench_batched_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("eval_batched_qconj");
     for &n in &[200usize, 800] {
         let db = binary_db(n, (n as f64).sqrt() as usize + 2, 1);
-        group.bench_with_input(BenchmarkId::new("tuple", n), &db, |b, db| {
+        group.bench_with_input(BenchmarkId::new("batched", n), &db, |b, db| {
             b.iter(|| black_box(eval_cq_with(&qconj, db, EvalOptions::default())))
         });
-        group.bench_with_input(BenchmarkId::new("batched", n), &db, |b, db| {
-            b.iter(|| black_box(eval_cq_with(&qconj, db, EvalOptions::batched())))
-        });
         group.bench_with_input(BenchmarkId::new("session_warm", n), &db, |b, db| {
-            let session = EvalSession::with_options(EvalOptions::batched());
+            let session = EvalSession::new();
             b.iter(|| black_box(session.eval_cq(&qconj, db)))
         });
         group.bench_with_input(BenchmarkId::new("batched_par4", n), &db, |b, db| {
-            let options = EvalOptions::batched().with_parallelism(4);
+            let options = EvalOptions::default().with_parallelism(4);
             b.iter(|| black_box(eval_cq_with(&qconj, db, options)))
         });
     }
@@ -121,51 +116,31 @@ fn bench_batched_eval(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("eval_batched_triangle");
     let db = binary_db(50, 9, 1);
-    group.bench_with_input(BenchmarkId::new("tuple", 50), &db, |b, db| {
-        b.iter(|| black_box(eval_cq_with(&triangle, db, EvalOptions::default())))
-    });
     group.bench_with_input(BenchmarkId::new("batched", 50), &db, |b, db| {
-        b.iter(|| black_box(eval_cq_with(&triangle, db, EvalOptions::batched())))
+        b.iter(|| black_box(eval_cq_with(&triangle, db, EvalOptions::default())))
     });
     group.finish();
 }
 
-// Ablation (DESIGN.md B1): naive written-order full-scan evaluation vs the
-// planned (syntactic or cost-based + indexed) strategies, on a selective
-// query where planning matters.
+// Ablation (DESIGN.md B1): the cost-based vs the syntactic planner on a
+// selective query where planning matters.
 fn bench_strategy_ablation(c: &mut Criterion) {
-    use prov_engine::{eval_cq_with, EvalOptions, PlannerKind};
+    use prov_engine::{eval_cq_with, EvalOptions};
     let selective = parse_cq("ans(x) :- R(x,y), R(y,'d1'), R('d0',x)").unwrap();
     let mut group = c.benchmark_group("eval_strategy_ablation");
     for &n in &[200usize, 800] {
         let db = binary_db(n, 12, 1);
-        group.bench_with_input(BenchmarkId::new("naive", n), &db, |b, db| {
-            b.iter(|| black_box(eval_cq_with(&selective, db, EvalOptions::naive())))
-        });
         group.bench_with_input(BenchmarkId::new("cost_planned", n), &db, |b, db| {
             b.iter(|| black_box(eval_cq_with(&selective, db, EvalOptions::default())))
         });
         group.bench_with_input(BenchmarkId::new("syntactic", n), &db, |b, db| {
             b.iter(|| black_box(eval_cq_with(&selective, db, EvalOptions::syntactic())))
         });
-        group.bench_with_input(BenchmarkId::new("index_only", n), &db, |b, db| {
-            b.iter(|| {
-                black_box(eval_cq_with(
-                    &selective,
-                    db,
-                    EvalOptions {
-                        planner: PlannerKind::WrittenOrder,
-                        use_index: true,
-                        ..EvalOptions::default()
-                    },
-                ))
-            })
-        });
     }
     group.finish();
 }
 
-// Sharded parallel evaluation vs thread count on the large substrate.
+// Chunk-parallel batched evaluation vs thread count on the large substrate.
 // Results are bit-identical to sequential (⊕-commutativity); only
 // wall-clock differs. On a single-vCPU host expect parity, not speedup.
 fn bench_parallel_eval(c: &mut Criterion) {

@@ -73,7 +73,7 @@ fn bench_algebra(c: &mut Criterion) {
             b.iter(|| black_box(eval_ucq(&compiled, db)))
         });
         // Parallel variant of the compiled route: each adjunct's first
-        // planned atom is sharded across 4 worker threads.
+        // planned atom's frontier is split across 4 worker threads.
         group.bench_with_input(BenchmarkId::new("compiled_eval_par4", n), &db, |b, db| {
             let options = EvalOptions::default().with_parallelism(4);
             b.iter(|| black_box(eval_ucq_with(&compiled, db, options)))

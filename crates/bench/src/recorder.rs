@@ -95,31 +95,15 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
         out.push(measure(id, budget_ms, f));
     };
 
-    // B1 eval_throughput — sequential, planned, and parallel variants.
-    // The unsuffixed rows pin `EvalOptions::tuple()` explicitly: they have
-    // always measured the tuple-at-a-time path and must keep doing so now
-    // that `EvalOptions::default()` is the batched pipeline (the `/batched`
-    // rows below measure that).
+    // B1 eval_throughput — the batched pipeline, cold (per-call view
+    // build) and against a persistent session (the serving configuration:
+    // index + columnar views amortized across evaluations of one loaded
+    // database).
     let qconj = parse_cq("ans(x) :- R(x,y), R(y,x)").expect("qconj parses");
     let triangle = parse_cq("ans() :- R(x,y), R(y,z), R(z,x)").expect("triangle parses");
-    let selective = parse_cq("ans(x) :- R(x,y), R(y,'d1'), R('d0',x)").expect("parses");
     let db200 = binary_db(200, 16, 1);
     let db800 = binary_db(800, 30, 1);
-    let tuple = EvalOptions::tuple();
-    record("eval_throughput/qconj/200", &mut || {
-        std::hint::black_box(eval_cq_with(&qconj, &db200, tuple));
-    });
-    record("eval_throughput/qconj/800", &mut || {
-        std::hint::black_box(eval_cq_with(&qconj, &db800, tuple));
-    });
-    let par4 = EvalOptions::tuple().with_parallelism(4);
-    record("eval_throughput/qconj/800/par4", &mut || {
-        std::hint::black_box(eval_cq_with(&qconj, &db800, par4));
-    });
-    // Columnar batched pipeline, cold (per-call view build) and against a
-    // persistent IndexCache (the serving configuration: index + columnar
-    // views amortized across evaluations of one loaded database).
-    let batched = EvalOptions::batched();
+    let batched = EvalOptions::default();
     record("eval_throughput/qconj/200/batched", &mut || {
         std::hint::black_box(eval_cq_with(&qconj, &db200, batched));
     });
@@ -137,17 +121,8 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
         std::hint::black_box(warm.eval_cq(&qconj, &db800));
     });
     let db50 = binary_db(50, 9, 1);
-    record("eval_throughput/triangle/50", &mut || {
-        std::hint::black_box(eval_cq_with(&triangle, &db50, tuple));
-    });
     record("eval_throughput/triangle/50/batched", &mut || {
         std::hint::black_box(eval_cq_with(&triangle, &db50, batched));
-    });
-    record("eval_strategy/naive/200", &mut || {
-        std::hint::black_box(eval_cq_with(&selective, &db200, EvalOptions::naive()));
-    });
-    record("eval_strategy/cost_planned/200", &mut || {
-        std::hint::black_box(eval_cq_with(&selective, &db200, tuple));
     });
 
     // Serve loop: full HTTP round trips against an in-process
@@ -388,8 +363,8 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
         let fanjoin = parse_cq("ans(y,z) :- R(x,y), R(x,z)").expect("fanjoin parses");
         // Chunk below the first atom's 128 candidate rows so the slicing
         // path actually runs: peak drops from n² to chunk × n.
-        let chunked_opts = EvalOptions::batched().with_chunk_rows(16);
-        let unchunked_opts = EvalOptions::batched().unchunked();
+        let chunked_opts = EvalOptions::default().with_chunk_rows(16);
+        let unchunked_opts = EvalOptions::default().unchunked();
         record("eval_throughput/fanout_selfjoin/chunked", &mut || {
             std::hint::black_box(eval_cq_with(&fanjoin, &fan, chunked_opts));
         });
@@ -466,13 +441,12 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
     let compiled = prov_algebra::to_query(&plan)
         .expect("well-formed")
         .expect("satisfiable");
-    // Substrate rows stay on the *default* options deliberately: they
-    // track what a library user gets, which since the flip is the batched
-    // pipeline. (`par4` above is pinned to the tuple path, preserving the
-    // row's original meaning.)
+    // Substrate rows track what a library user gets: the default options,
+    // sequential and on 4 worker threads.
     record("substrates/algebra_compiled/200", &mut || {
         std::hint::black_box(eval_ucq_with(&compiled, &db200, EvalOptions::default()));
     });
+    let par4 = EvalOptions::default().with_parallelism(4);
     record("substrates/algebra_compiled/200/par4", &mut || {
         std::hint::black_box(eval_ucq_with(&compiled, &db200, par4));
     });
@@ -690,7 +664,6 @@ mod tests {
             .collect();
         for family in [
             "eval_throughput",
-            "eval_strategy",
             "minimize_cq",
             "minimize_ccq",
             "minprov_blowup",
@@ -702,7 +675,7 @@ mod tests {
         ] {
             assert!(families.contains(family), "{family} not covered");
         }
-        // Parallel variants present (PR 2's CI-visible surface).
+        // Parallel variants present.
         assert!(ms.iter().any(|m| m.id.ends_with("/par4")));
         // The serve-loop rows: the original close-per-request round trip
         // (PR 5) plus the keep-alive and concurrent keep-alive rows (the

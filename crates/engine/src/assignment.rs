@@ -1,10 +1,21 @@
-//! Assignments of query atoms to database tuples (paper Def 2.6).
+//! Assignments of query atoms to database tuples (paper Def 2.6), and
+//! the differential test oracle built on them.
+//!
+//! [`assignments`] reads Def 2.6 literally: a nested loop over the body
+//! atoms in written order, each atom scanning its whole relation, with no
+//! index, no planner and no threads. [`eval_cq_naive`] sums one monomial
+//! per assignment (Def 2.12). Nothing in production calls them; fuzzing,
+//! the proptests and the paper-example tests check the batched pipeline
+//! against them, and the paper-example tests check them against the
+//! paper's own tables.
 
 use std::collections::BTreeMap;
 
-use prov_query::{ConjunctiveQuery, Term, Variable};
+use prov_query::{ConjunctiveQuery, Term, UnionQuery, Variable};
 use prov_semiring::Monomial;
 use prov_storage::{Database, Tuple, Value};
+
+use crate::eval::AnnotatedResult;
 
 /// An assignment: a mapping of the relational atoms of a query to tuples of
 /// a database that respects relation names, induces a consistent argument
@@ -44,10 +55,90 @@ impl Assignment {
     }
 }
 
+/// Every assignment of `q` into `db` (Def 2.6): atoms are mapped in
+/// written order to same-relation, same-arity tuples whose values agree
+/// with the constants and with the variables bound so far; a complete
+/// mapping is kept when it satisfies every disequality.
+pub fn assignments(q: &ConjunctiveQuery, db: &Database) -> Vec<Assignment> {
+    let mut out = Vec::new();
+    let mut tuples = Vec::with_capacity(q.atoms().len());
+    extend(q, db, &mut tuples, &BTreeMap::new(), &mut out);
+    out
+}
+
+/// Maps atom `tuples.len()` to each consistent tuple in turn and recurses.
+fn extend(
+    q: &ConjunctiveQuery,
+    db: &Database,
+    tuples: &mut Vec<Tuple>,
+    bindings: &BTreeMap<Variable, Value>,
+    out: &mut Vec<Assignment>,
+) {
+    let Some(atom) = q.atoms().get(tuples.len()) else {
+        // Query safety: every disequality variable occurs in some atom,
+        // so a complete mapping binds it.
+        let value = |t: Term| match t {
+            Term::Var(v) => bindings[&v],
+            Term::Const(c) => c,
+        };
+        if q.diseqs()
+            .iter()
+            .all(|d| bindings[&d.left()] != value(d.right()))
+        {
+            out.push(Assignment {
+                tuples: tuples.clone(),
+                bindings: bindings.clone(),
+            });
+        }
+        return;
+    };
+    let Some(relation) = db.relation(atom.relation) else {
+        return;
+    };
+    for (tuple, _) in relation.iter() {
+        if tuple.arity() != atom.arity() {
+            continue;
+        }
+        let mut extended = bindings.clone();
+        let consistent = atom
+            .args
+            .iter()
+            .zip(tuple.values())
+            .all(|(term, &value)| match term {
+                Term::Const(c) => *c == value,
+                Term::Var(v) => *extended.entry(*v).or_insert(value) == value,
+            });
+        if consistent {
+            tuples.push(tuple.clone());
+            extend(q, db, tuples, &extended, out);
+            tuples.pop();
+        }
+    }
+}
+
+/// Evaluates `q` by the oracle: one monomial per assignment of
+/// [`assignments`], summed per output tuple (Def 2.12).
+pub fn eval_cq_naive(q: &ConjunctiveQuery, db: &Database) -> AnnotatedResult {
+    let mut result = AnnotatedResult::default();
+    for a in assignments(q, db) {
+        result.record(a.head_tuple(q), a.monomial(q, db));
+    }
+    result
+}
+
+/// Evaluates a union by the oracle: the sum of [`eval_cq_naive`] over its
+/// adjuncts (Def 2.12, union case).
+pub fn eval_ucq_naive(q: &UnionQuery, db: &Database) -> AnnotatedResult {
+    let mut result = AnnotatedResult::default();
+    for adj in q.adjuncts() {
+        result.merge(eval_cq_naive(adj, db));
+    }
+    result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::assignments;
     use prov_query::parse_cq;
 
     fn table_2_database() -> Database {

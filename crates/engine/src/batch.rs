@@ -1,29 +1,31 @@
-//! Columnar batched evaluation (Def 2.6 / Def 2.12 executed block-wise).
+//! Columnar batched evaluation (Def 2.6 / Def 2.12 executed block-wise) —
+//! the engine's only evaluator.
 //!
-//! The tuple-at-a-time path extends one partial assignment at a time,
-//! paying a `BTreeMap` binding update, a `Tuple` clone, and a fresh
-//! `Monomial` per enumerated assignment. This module carries a **block**
-//! of partial assignments instead, in struct-of-arrays form: one
-//! contiguous **dictionary-encoded** `Vec<u32>` column of interned value
-//! ids per bound variable plus one `Vec<Annotation>` column per matched
-//! atom (the factor columns of the eventual monomials). Each planned atom
-//! maps a block to the next block with a probe/filter pass over the
-//! relation's columnar view ([`prov_storage::ColumnarRelation`], itself
-//! id-encoded — every equality and disequality check is a fixed-width
-//! `u32` compare) followed by columnar gathers; ids are decoded back to
-//! [`Value`]s only at the output boundary, where provenance is
-//! accumulated in place through the reused factor buffer of
-//! [`prov_semiring::MonomialBuilder`] and
-//! `Polynomial::add_occurrence` — no per-derivation temporaries.
+//! Instead of extending one partial assignment at a time (a `BTreeMap`
+//! binding update, a `Tuple` clone and a fresh `Monomial` per enumerated
+//! assignment, as the oracle in `crate::assignment` does), the pipeline
+//! carries a **block** of partial assignments in struct-of-arrays form:
+//! one contiguous **dictionary-encoded** `Vec<u32>` column of interned
+//! value ids per bound variable plus one `Vec<Annotation>` column per
+//! matched atom (the factor columns of the eventual monomials). Each
+//! planned atom maps a block to the next block with a probe/filter pass
+//! over the relation's columnar view ([`prov_storage::ColumnarRelation`],
+//! itself id-encoded — every equality and disequality check is a
+//! fixed-width `u32` compare) followed by columnar gathers; ids are
+//! decoded back to [`Value`]s only at the output boundary, where
+//! provenance is accumulated in place through the reused factor buffer of
+//! [`prov_semiring::MonomialBuilder`] and `Polynomial::add_occurrence` —
+//! no per-derivation temporaries.
 //!
 //! Correctness: the pipeline enumerates exactly the assignments of
 //! Def 2.6 in a different grouping, and ⊕ is commutative and associative
 //! with a canonical coefficient-map representation, so the result is
-//! *equal* — not merely equivalent — to the sequential and parallel
-//! tuple-at-a-time results (checked by the three-way equivalence proptest
-//! in `tests/parallel_consistency.rs`). Parallelism composes by sharding
-//! the first atom's block into chunks work-stolen by scoped threads, the
-//! same ⊕-merge argument as [`crate::parallel`].
+//! *equal* — not merely equivalent — to the oracle's (checked by the
+//! proptests in `tests/parallel_consistency.rs` and by `provmin fuzz`).
+//! Parallelism composes by splitting the first atom's block into chunks
+//! work-stolen by scoped threads, each ⊕-accumulating a private partial
+//! result; the partials are then ⊕-merged, so completion order cannot
+//! change the output.
 //!
 //! Memory bound: a frontier larger than [`EvalOptions::chunk_rows`] is
 //! split into chunk-sized slices, each driven through the *entire*
@@ -48,8 +50,8 @@ use crate::cache::{EvalViews, IndexCache};
 use crate::eval::{AnnotatedResult, EvalOptions};
 use crate::index::RelationIndex;
 
-/// How many block chunks each worker thread gets on average; matches the
-/// over-partitioning policy of [`crate::parallel`].
+/// How many block chunks each worker thread gets on average;
+/// over-partitioning lets the stealing cursor balance skewed chunks.
 const CHUNKS_PER_THREAD: usize = 4;
 
 /// A per-atom row restriction for the delta ⊕-join passes of incremental
@@ -199,9 +201,8 @@ fn build_plans(
                 }
             }
         }
-        // Disequalities check as soon as both sides are bound — the same
-        // eager schedule as the tuple path's `diseqs_satisfiable` (sides
-        // never bound are never checked there either).
+        // Disequalities check as soon as both sides are bound (query
+        // safety guarantees both sides are bound by the last step).
         for (di, d) in q.diseqs().iter().enumerate() {
             if scheduled[di] {
                 continue;
@@ -236,7 +237,7 @@ fn extend_block(
     block: &Block,
     plan: &AtomPlan,
     rel: &ColumnarRelation,
-    index: Option<&RelationIndex>,
+    index: &RelationIndex,
 ) -> Block {
     // Checks independent of the parent assignment. All value checks are
     // id compares over the dictionary-encoded columns.
@@ -260,15 +261,13 @@ fn extend_block(
         // The candidate set is parent-independent: filter the column scan
         // (or the most selective constant posting list) once and fan it
         // out to every partial assignment in the block.
-        let candidates: Vec<u32> = match index {
-            Some(ix) if !plan.const_checks.is_empty() => ix
-                .most_selective(&plan.const_checks)
-                .expect("constraints are non-empty")
+        let candidates: Vec<u32> = match index.most_selective(&plan.const_checks) {
+            Some(posting) => posting
                 .iter()
                 .copied()
                 .filter(|&r| static_ok(r as usize))
                 .collect(),
-            _ => (0..rel.len() as u32)
+            None => (0..rel.len() as u32)
                 .filter(|&r| static_ok(r as usize))
                 .collect(),
         };
@@ -291,32 +290,20 @@ fn extend_block(
                         .iter()
                         .all(|&(pos, col)| rel.column_ids(pos)[row] == block.cols[col][parent])
             };
-            match index {
-                Some(ix) => {
-                    constraints.clear();
-                    constraints.extend_from_slice(&plan.const_checks);
-                    constraints.extend(
-                        plan.bound_checks
-                            .iter()
-                            .map(|&(pos, col)| (pos, Value::from_id(block.cols[col][parent]))),
-                    );
-                    let posting = ix
-                        .most_selective(&constraints)
-                        .expect("bound checks are non-empty");
-                    for &r in posting {
-                        if row_ok(r as usize) {
-                            parents.push(parent as u32);
-                            rows.push(r);
-                        }
-                    }
-                }
-                None => {
-                    for r in 0..rel.len() {
-                        if row_ok(r) {
-                            parents.push(parent as u32);
-                            rows.push(r as u32);
-                        }
-                    }
+            constraints.clear();
+            constraints.extend_from_slice(&plan.const_checks);
+            constraints.extend(
+                plan.bound_checks
+                    .iter()
+                    .map(|&(pos, col)| (pos, Value::from_id(block.cols[col][parent]))),
+            );
+            let posting = index
+                .most_selective(&constraints)
+                .expect("bound checks are non-empty");
+            for &r in posting {
+                if row_ok(r as usize) {
+                    parents.push(parent as u32);
+                    rows.push(r);
                 }
             }
         }
@@ -383,7 +370,7 @@ fn apply_diseqs(block: &mut Block, diseqs: &[DiseqPlan]) {
 struct Pipeline<'a> {
     plans: &'a [AtomPlan],
     rels: &'a [&'a ColumnarRelation],
-    indexes: &'a [Option<&'a RelationIndex>],
+    indexes: &'a [&'a RelationIndex],
     head: &'a [Fetch],
     chunk_rows: usize,
     cache: &'a IndexCache,
@@ -459,21 +446,11 @@ fn emit_block(block: &Block, head: &[Fetch], result: &mut AnnotatedResult) {
     }
 }
 
-/// Evaluates `q` over `db` through the columnar batched pipeline,
-/// returning a result identical to the tuple-at-a-time strategies.
-pub(crate) fn eval_cq_batched(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    options: EvalOptions,
-    views: &EvalViews,
-    cache: &IndexCache,
-) -> AnnotatedResult {
-    eval_cq_batched_restricted(q, db, options, views, cache, None)
-}
-
-/// [`eval_cq_batched`] with a per-atom row restriction — the delta ⊕-join
-/// primitive: the incremental maintenance passes of [`crate::EvalSession`]
-/// pin one atom to the freshly-inserted row and window the others.
+/// Evaluates `q` over `db` through the columnar batched pipeline. Every
+/// evaluation outside the test oracle lands here: full evaluations pass
+/// `restricts: None`; the delta ⊕-join passes of [`crate::EvalSession`]
+/// pass a per-atom row restriction that pins one atom to the
+/// freshly-inserted row and windows the others.
 pub(crate) fn eval_cq_batched_restricted(
     q: &ConjunctiveQuery,
     db: &Database,
@@ -482,7 +459,7 @@ pub(crate) fn eval_cq_batched_restricted(
     cache: &IndexCache,
     restricts: Option<&[RowRestrict]>,
 ) -> AnnotatedResult {
-    debug_assert!(!q.atoms().is_empty(), "caller handles atom-free queries");
+    // `ConjunctiveQuery::new` rejects an empty body, so `plans[0]` exists.
     let mut result = AnnotatedResult::default();
     // An absent relation or an arity mismatch anywhere empties the result.
     for atom in q.atoms() {
@@ -516,14 +493,16 @@ pub(crate) fn eval_cq_batched_restricted(
     }
     let (plans, head) = build_plans(q, &order, restricts);
     let columnar = views.columnar(db);
-    let index = options.use_index.then(|| views.database_index(db));
+    let index = views.database_index(db);
     let rels: Vec<&ColumnarRelation> = plans
         .iter()
         .map(|p| columnar.relation(p.rel).expect("relation validated above"))
         .collect();
-    let indexes: Vec<Option<&RelationIndex>> = plans
+    // Relations only come into being through an insert, so the index
+    // (built or patched from the same events) covers every one of them.
+    let indexes: Vec<&RelationIndex> = plans
         .iter()
-        .map(|p| index.and_then(|ix| ix.relation(p.rel)))
+        .map(|p| index.relation(p.rel).expect("relation validated above"))
         .collect();
 
     // First step from the unit block, shared by both execution modes.
@@ -547,17 +526,19 @@ pub(crate) fn eval_cq_batched_restricted(
         return result;
     }
 
-    // Parallel mode: shard the first-atom block into chunks, work-stolen
-    // by scoped threads; ⊕-merge the private partial results. A shard
+    // Parallel mode: split the first-atom block into chunks, work-stolen
+    // by scoped threads; ⊕-merge the private partial results. A chunk
     // wider than `chunk_rows` is re-sliced inside `finish_chunk`, so the
-    // per-thread frontier bound holds regardless of shard geometry.
-    let num_chunks = (threads * CHUNKS_PER_THREAD).min(block.len).max(1);
+    // per-thread frontier bound holds regardless of chunk geometry. A
+    // worker beyond the chunk count would find nothing to steal, so none
+    // is spawned.
+    let num_chunks = (threads * CHUNKS_PER_THREAD).min(block.len);
     let bounds: Vec<(usize, usize)> = (0..num_chunks)
         .map(|i| (i * block.len / num_chunks, (i + 1) * block.len / num_chunks))
         .collect();
     let cursor = AtomicUsize::new(0);
     let partials: Vec<AnnotatedResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (0..threads.min(num_chunks))
             .map(|_| {
                 scope.spawn(|| {
                     let mut local = AnnotatedResult::default();
@@ -587,7 +568,7 @@ pub(crate) fn eval_cq_batched_restricted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval_cq_with, eval_ucq_with};
+    use crate::eval::eval_cq_with;
     use prov_query::{parse_cq, parse_ucq};
     use prov_storage::Tuple;
 
@@ -604,7 +585,7 @@ mod tests {
     fn batched_matches_paper_examples() {
         let db = table_2_database();
         let qconj = parse_cq("ans(x) :- R(x,y), R(y,x)").unwrap();
-        let result = eval_cq_with(&qconj, &db, EvalOptions::batched());
+        let result = eval_cq_with(&qconj, &db, EvalOptions::default());
         assert_eq!(
             result.provenance(&Tuple::of(&["a"])),
             prov_semiring::Polynomial::parse("s2·s3 + s1·s1")
@@ -627,16 +608,13 @@ mod tests {
             "ans() :- R(x,x), R(x,y), R(y,y)",
         ] {
             let q = parse_cq(text).unwrap();
-            let reference = eval_cq_with(&q, &db, EvalOptions::naive());
+            // The oracle is the paper-literal tuple-at-a-time enumeration.
+            let reference = crate::eval_cq_naive(&q, &db);
             for options in [
-                EvalOptions::batched(),
-                EvalOptions::batched().with_parallelism(3),
-                EvalOptions {
-                    use_index: false,
-                    ..EvalOptions::batched()
-                },
-                EvalOptions::batched().with_planner(crate::PlannerKind::Syntactic),
-                EvalOptions::batched().with_planner(crate::PlannerKind::WrittenOrder),
+                EvalOptions::default(),
+                EvalOptions::default().with_parallelism(3),
+                EvalOptions::default().with_chunk_rows(1),
+                EvalOptions::syntactic(),
             ] {
                 assert_eq!(
                     eval_cq_with(&q, &db, options),
@@ -652,7 +630,7 @@ mod tests {
         let db = table_2_database();
         for text in ["ans(x) :- Missing(x)", "ans(x) :- R(x)"] {
             let q = parse_cq(text).unwrap();
-            assert!(eval_cq_with(&q, &db, EvalOptions::batched()).is_empty());
+            assert!(eval_cq_with(&q, &db, EvalOptions::default()).is_empty());
         }
     }
 
@@ -661,8 +639,8 @@ mod tests {
         // R(x,x) with x unbound exercises the self-check path.
         let db = table_2_database();
         let q = parse_cq("ans(x) :- R(x,x)").unwrap();
-        let result = eval_cq_with(&q, &db, EvalOptions::batched());
-        assert_eq!(result, eval_cq_with(&q, &db, EvalOptions::naive()));
+        let result = eval_cq_with(&q, &db, EvalOptions::default());
+        assert_eq!(result, crate::eval_cq_naive(&q, &db));
         assert_eq!(result.len(), 2);
     }
 
@@ -674,9 +652,9 @@ mod tests {
              ans(x) :- R(x,x)",
         )
         .unwrap();
-        let batched = eval_ucq_with(&q, &db, EvalOptions::batched());
-        let reference = eval_ucq_with(&q, &db, EvalOptions::naive());
-        assert_eq!(batched, reference);
+        let session = crate::EvalSession::new();
+        assert_eq!(*session.eval_ucq(&q, &db), crate::eval_ucq_naive(&q, &db));
+        assert_eq!(session.stats().views.misses, 1);
     }
 
     #[test]
@@ -695,13 +673,13 @@ mod tests {
         }
         let q = parse_ucq("ans(y,z) :- R(x,y), R(x,z)").unwrap();
 
-        let unchunked = crate::EvalSession::with_options(EvalOptions::batched().unchunked());
+        let unchunked = crate::EvalSession::with_options(EvalOptions::default().unchunked());
         let full = unchunked.eval_ucq(&q, &db);
         let unchunked_peak = unchunked.stats().peak_frontier_rows;
         assert_eq!(unchunked_peak, (n * n) as u64);
 
         let chunked =
-            crate::EvalSession::with_options(EvalOptions::batched().with_chunk_rows(chunk));
+            crate::EvalSession::with_options(EvalOptions::default().with_chunk_rows(chunk));
         let bounded = chunked.eval_ucq(&q, &db);
         let chunked_peak = chunked.stats().peak_frontier_rows;
         assert_eq!(*bounded, *full);
@@ -720,6 +698,65 @@ mod tests {
         db.add("S", &["a"], "bt_s");
         db.remove(prov_storage::RelName::new("S"), &Tuple::of(&["a"]));
         let q = parse_cq("ans() :- S(x)").unwrap();
-        assert!(eval_cq_with(&q, &db, EvalOptions::batched()).is_empty());
+        assert!(eval_cq_with(&q, &db, EvalOptions::default()).is_empty());
+    }
+
+    fn larger_db(n: usize) -> Database {
+        let mut db = Database::new();
+        for i in 0..n {
+            db.add(
+                "R",
+                &[&format!("d{}", i % 9), &format!("d{}", (i * 7 + 3) % 9)],
+                &format!("par_{i}"),
+            );
+        }
+        db
+    }
+
+    #[test]
+    fn parallel_equals_sequential_on_joins() {
+        let db = larger_db(60);
+        for text in [
+            "ans(x) :- R(x,y), R(y,x)",
+            "ans() :- R(x,y), R(y,z), R(z,x)",
+            "ans(x,z) :- R(x,y), R(y,z), x != z",
+            "ans(x) :- R(x,'d1')",
+        ] {
+            let q = parse_cq(text).unwrap();
+            let sequential = eval_cq_with(&q, &db, EvalOptions::default());
+            for threads in [2usize, 3, 8] {
+                let parallel =
+                    eval_cq_with(&q, &db, EvalOptions::default().with_parallelism(threads));
+                assert_eq!(parallel, sequential, "{threads} threads disagree on {text}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_handles_missing_relation_and_empty_db() {
+        let q = parse_cq("ans(x) :- Missing(x)").unwrap();
+        let db = larger_db(5);
+        let options = EvalOptions::default().with_parallelism(4);
+        assert!(eval_cq_with(&q, &db, options).is_empty());
+        let empty = Database::new();
+        let q2 = parse_cq("ans(x) :- R(x,y)").unwrap();
+        assert!(eval_cq_with(&q2, &empty, options).is_empty());
+    }
+
+    #[test]
+    fn more_threads_than_rows_is_fine() {
+        // Two first-atom rows make two chunks, so only two of the 64
+        // requested workers are spawned.
+        let mut db = Database::new();
+        db.add("R", &["a", "b"], "tiny_1");
+        db.add("R", &["b", "a"], "tiny_2");
+        let q = parse_cq("ans(x) :- R(x,y), R(y,x)").unwrap();
+        let sequential = eval_cq_with(&q, &db, EvalOptions::default());
+        let parallel = eval_cq_with(
+            &q,
+            &db,
+            EvalOptions::default().with_parallelism(crate::MAX_THREADS),
+        );
+        assert_eq!(parallel, sequential);
     }
 }

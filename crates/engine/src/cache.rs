@@ -10,10 +10,9 @@
 //! content, so the cached views are reused; a moved stamp forces a
 //! rebuild (never a stale read).
 //!
-//! Views are built lazily inside a shared [`EvalViews`]: the tuple-at-a-
-//! time path only ever pays for the posting-list index, the batched path
-//! additionally materializes columnar views, and the naive path builds
-//! nothing.
+//! Views are built lazily inside a shared [`EvalViews`]: the batched
+//! pipeline materializes the posting-list index and the columnar views on
+//! its first evaluation; the test oracle builds nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -71,9 +70,10 @@ impl EvalViews {
     /// them from scratch. Unbuilt views stay unbuilt (lazy as ever).
     ///
     /// Returns `None` when patching is impossible: a remove event needs
-    /// the row id, recovered from the columnar annotation column, so an
-    /// index-only build cannot replay removes and falls back to a fresh
-    /// (lazily rebuilt) entry.
+    /// the row id, recovered from the columnar annotation column, so views
+    /// with only the index built (a caller that asked for
+    /// [`EvalViews::database_index`] alone) cannot replay removes and fall
+    /// back to a fresh (lazily rebuilt) entry.
     pub(crate) fn patched(&self, db: &Database, events: &[DeltaEvent]) -> Option<EvalViews> {
         let mut columnar = self.columnar.get().cloned();
         let mut index = self.index.get().cloned();
@@ -200,8 +200,8 @@ impl IndexCache {
     }
 
     /// Records that an evaluation materialized a frontier of `rows`
-    /// partial-assignment rows at once (a block of the batched pipeline,
-    /// or the assignment buffer of the tuple paths). Keeps the maximum.
+    /// partial-assignment rows at once (one block of the batched
+    /// pipeline). Keeps the maximum.
     pub(crate) fn observe_frontier(&self, rows: usize) {
         self.peak_frontier.fetch_max(rows as u64, Ordering::Relaxed);
     }

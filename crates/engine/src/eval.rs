@@ -1,23 +1,20 @@
 //! Provenance-annotated query evaluation (paper Def 2.12):
 //! `P(t, Q, D) = Σ_{σ ∈ A(t,Q,D)} Π_{Ri ∈ body(Q)} P(σ(Ri))`.
 //!
-//! Several execution strategies are provided and benchmarked against each
-//! other (ablation B1): a naive nested-loop over atoms in written order,
-//! planned strategies (syntactic or cost-based atom ordering plus
-//! per-position hash indexes), and a parallel pipeline that shards the
-//! first planned atom's rows across worker threads (see [`crate::parallel`]).
-//! All enumerate exactly the assignments of Def 2.6; provenance is
-//! identical.
+//! One evaluator computes this sum: the columnar batched pipeline of
+//! `crate::batch`. [`EvalOptions`] choose its join planner, worker-thread
+//! count and frontier chunk size; every choice enumerates exactly the
+//! assignments of Def 2.6, so provenance is identical. The paper-literal
+//! enumeration ([`crate::assignments`], [`crate::eval_cq_naive`]) is the
+//! differential test oracle, not an option here.
 
 use std::collections::BTreeMap;
 
-use prov_query::{ConjunctiveQuery, Term, UnionQuery, Variable};
+use prov_query::{ConjunctiveQuery, UnionQuery};
 use prov_semiring::{Annotation, CommutativeSemiring, Polynomial};
 use prov_storage::{Database, Tuple, Valuation, Value};
 
-use crate::assignment::Assignment;
 use crate::cache::IndexCache;
-use crate::index::DatabaseIndex;
 use crate::planner::PlannerKind;
 
 /// The annotated result of a query: each output tuple with its provenance
@@ -165,25 +162,20 @@ impl AnnotatedResult {
 /// peak frontier stays a bounded multiple of it.
 pub const DEFAULT_CHUNK_ROWS: usize = 64 * 1024;
 
-/// Evaluation strategy knobs (the B1 ablation axes).
+/// The largest worker-thread count the CLI and the server accept. Each
+/// worker is a scoped OS thread, so an unbounded value would let one
+/// request or command exhaust the process's memory for thread stacks;
+/// anything past the machine's core count is overhead anyway.
+pub const MAX_THREADS: usize = 64;
+
+/// Evaluation strategy knobs. None of them changes a result.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EvalOptions {
     /// Which planner orders the query's atoms.
     pub planner: PlannerKind,
-    /// Use per-position hash indexes instead of full scans.
-    pub use_index: bool,
-    /// Number of worker threads for sharded parallel evaluation.
-    /// `None` or `Some(0|1)` evaluates sequentially (the default).
+    /// Number of worker threads the first atom's frontier is split
+    /// across. `None` or `Some(0|1)` evaluates sequentially (the default).
     pub parallelism: Option<usize>,
-    /// Columnar batched extension: carry blocks of
-    /// partial assignments through the planned atom order instead of
-    /// recursing one assignment at a time. Identical results; composes
-    /// with `parallelism` by sharding blocks. **On by default** since the
-    /// soak of the three-way equivalence suite (interleaved mutations,
-    /// cached re-evaluations, UCQ disjunct sharing, 1 and 4 threads);
-    /// [`EvalOptions::tuple`] is the escape hatch back to the
-    /// tuple-at-a-time recursion.
-    pub batch: bool,
     /// Memory bound of the batched pipeline: a frontier block larger than
     /// this is driven through the remaining atom schedule in
     /// `chunk_rows`-row slices, each accumulated into the shared result
@@ -192,8 +184,7 @@ pub struct EvalOptions {
     /// O(largest intermediate join). `None` (or `Some(0)`) disables
     /// chunking; results are bit-identical either way (⊕ is commutative
     /// and associative — the chunks are just a regrouping of the Def 2.6
-    /// assignment sum). Defaults to [`DEFAULT_CHUNK_ROWS`]. Ignored by
-    /// the tuple-at-a-time paths, whose working set is O(depth) already.
+    /// assignment sum). Defaults to [`DEFAULT_CHUNK_ROWS`].
     pub chunk_rows: Option<usize>,
 }
 
@@ -201,55 +192,14 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             planner: PlannerKind::CostBased,
-            use_index: true,
             parallelism: None,
-            batch: true,
             chunk_rows: Some(DEFAULT_CHUNK_ROWS),
         }
     }
 }
 
 impl EvalOptions {
-    /// The naive reference strategy: written order, full scans, sequential.
-    pub fn naive() -> Self {
-        EvalOptions {
-            planner: PlannerKind::WrittenOrder,
-            use_index: false,
-            parallelism: None,
-            batch: false,
-            chunk_rows: None,
-        }
-    }
-
-    /// The columnar batched pipeline under the default planner/index.
-    /// Since the batched path became the default this is an alias for
-    /// [`EvalOptions::default`], kept for call sites that want to be
-    /// explicit about the pipeline they measure or test.
-    pub fn batched() -> Self {
-        EvalOptions {
-            batch: true,
-            ..EvalOptions::default()
-        }
-    }
-
-    /// The tuple-at-a-time recursion under the default planner/index —
-    /// the escape hatch from the batched default (ablations, debugging,
-    /// and workloads whose intermediate-join frontiers are too wide for
-    /// the batched pipeline's materialized blocks).
-    pub fn tuple() -> Self {
-        EvalOptions {
-            batch: false,
-            ..EvalOptions::default()
-        }
-    }
-
-    /// This strategy with batched extension switched on/off.
-    pub fn with_batch(self, batch: bool) -> Self {
-        EvalOptions { batch, ..self }
-    }
-
-    /// The pre-cost-planner default: syntactic most-bound-first ordering
-    /// with indexes (kept as an ablation point).
+    /// The default options under the syntactic most-bound-first planner.
     pub fn syntactic() -> Self {
         EvalOptions {
             planner: PlannerKind::Syntactic,
@@ -306,174 +256,6 @@ impl EvalOptions {
     }
 }
 
-/// Enumerates all assignments of `q` into `db` (Def 2.6) under the
-/// default strategy.
-pub fn assignments(q: &ConjunctiveQuery, db: &Database) -> Vec<Assignment> {
-    assignments_with(q, db, EvalOptions::default())
-}
-
-/// Enumerates all assignments of `q` into `db` under explicit options.
-pub fn assignments_with(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    options: EvalOptions,
-) -> Vec<Assignment> {
-    let index = options.use_index.then(|| DatabaseIndex::build(db));
-    collect_assignments(q, db, options, index.as_ref())
-}
-
-/// The sequential assignment enumeration against a pre-built (possibly
-/// cached) index.
-fn collect_assignments(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    options: EvalOptions,
-    index: Option<&DatabaseIndex>,
-) -> Vec<Assignment> {
-    let n = q.atoms().len();
-    let order = options.planner.order(q, db);
-    let mut out = Vec::new();
-    let mut tuples: Vec<Tuple> = vec![Tuple::empty(); n];
-    let mut bindings: BTreeMap<Variable, Value> = BTreeMap::new();
-    extend(
-        q,
-        db,
-        index,
-        &order,
-        0,
-        &mut tuples,
-        &mut bindings,
-        &mut out,
-    );
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn extend(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    index: Option<&DatabaseIndex>,
-    order: &[usize],
-    step: usize,
-    tuples: &mut Vec<Tuple>,
-    bindings: &mut BTreeMap<Variable, Value>,
-    out: &mut Vec<Assignment>,
-) {
-    if step == order.len() {
-        out.push(Assignment {
-            tuples: tuples.clone(),
-            bindings: bindings.clone(),
-        });
-        return;
-    }
-    let atom_idx = order[step];
-    let atom = &q.atoms()[atom_idx];
-    let Some(relation) = db.relation(atom.relation) else {
-        return;
-    };
-    if relation.arity() != atom.arity() {
-        return;
-    }
-
-    // Candidate rows: via the most selective posting list when some
-    // argument is already bound, else a full scan.
-    let rows: Vec<&(Tuple, prov_semiring::Annotation)> =
-        match index.and_then(|ix| ix.relation(atom.relation)) {
-            Some(rel_index) => {
-                let constraints: Vec<(usize, Value)> = atom
-                    .args
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(pos, term)| match term {
-                        Term::Const(c) => Some((pos, *c)),
-                        Term::Var(v) => bindings.get(v).map(|&val| (pos, val)),
-                    })
-                    .collect();
-                match rel_index.most_selective(&constraints) {
-                    Some(posting) => posting
-                        .iter()
-                        .map(|&row| relation.row(row as usize))
-                        .collect(),
-                    None => relation.iter().collect(),
-                }
-            }
-            None => relation.iter().collect(),
-        };
-
-    for (tuple, _) in rows {
-        try_candidate(q, db, index, order, step, tuple, tuples, bindings, out);
-    }
-}
-
-/// Attempts to map the atom at `order[step]` to the candidate `tuple`:
-/// binds its variables if consistent, recurses into the next step, and
-/// restores `bindings` before returning. This is the unit of work the
-/// parallel executor seeds each sharded first-atom row into.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_candidate(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    index: Option<&DatabaseIndex>,
-    order: &[usize],
-    step: usize,
-    tuple: &Tuple,
-    tuples: &mut Vec<Tuple>,
-    bindings: &mut BTreeMap<Variable, Value>,
-    out: &mut Vec<Assignment>,
-) {
-    let atom_idx = order[step];
-    let atom = &q.atoms()[atom_idx];
-    let mut added: Vec<Variable> = Vec::new();
-    for (term, &value) in atom.args.iter().zip(tuple.values()) {
-        match term {
-            Term::Const(c) => {
-                if *c != value {
-                    unbind(bindings, &added);
-                    return;
-                }
-            }
-            Term::Var(v) => match bindings.get(v) {
-                Some(&bound) => {
-                    if bound != value {
-                        unbind(bindings, &added);
-                        return;
-                    }
-                }
-                None => {
-                    bindings.insert(*v, value);
-                    added.push(*v);
-                }
-            },
-        }
-    }
-    // Eager disequality check on fully-bound disequalities.
-    if diseqs_satisfiable(q, bindings) {
-        tuples[atom_idx] = tuple.clone();
-        extend(q, db, index, order, step + 1, tuples, bindings, out);
-    }
-    unbind(bindings, &added);
-}
-
-fn unbind(bindings: &mut BTreeMap<Variable, Value>, added: &[Variable]) {
-    for v in added {
-        bindings.remove(v);
-    }
-}
-
-fn diseqs_satisfiable(q: &ConjunctiveQuery, bindings: &BTreeMap<Variable, Value>) -> bool {
-    q.diseqs().iter().all(|d| {
-        let left = bindings.get(&d.left());
-        let right = match d.right() {
-            Term::Var(v) => bindings.get(&v).copied(),
-            Term::Const(c) => Some(c),
-        };
-        match (left, right) {
-            (Some(&l), Some(r)) => l != r,
-            _ => true, // not fully bound yet
-        }
-    })
-}
-
 /// Evaluates a conjunctive query over an abstractly-tagged database,
 /// producing each output tuple with its `N[X]` provenance (Def 2.12).
 pub fn eval_cq(q: &ConjunctiveQuery, db: &Database) -> AnnotatedResult {
@@ -493,35 +275,8 @@ pub(crate) fn eval_cq_via_cache(
     options: EvalOptions,
     cache: &IndexCache,
 ) -> AnnotatedResult {
-    if q.atoms().is_empty() {
-        // No atoms to batch or shard over; the recursion base case emits
-        // the (at most one) empty assignment.
-        let mut result = AnnotatedResult::default();
-        for a in collect_assignments(q, db, options, None) {
-            result.record(a.head_tuple(q), a.monomial(q, db));
-        }
-        return result;
-    }
-    if options.batch {
-        let views = cache.views(db);
-        return crate::batch::eval_cq_batched(q, db, options, &views, cache);
-    }
-    if options.effective_threads() >= 2 {
-        let views = options.use_index.then(|| cache.views(db));
-        let index = views.as_ref().map(|v| v.database_index(db));
-        return crate::parallel::eval_cq_parallel(q, db, options, index, cache);
-    }
-    let views = options.use_index.then(|| cache.views(db));
-    let index = views.as_ref().map(|v| v.database_index(db));
-    let assignments = collect_assignments(q, db, options, index);
-    // The tuple path's frontier analog: the fully-materialized assignment
-    // vector (the batched pipeline reports its block sizes instead).
-    cache.observe_frontier(assignments.len());
-    let mut result = AnnotatedResult::default();
-    for a in assignments {
-        result.record(a.head_tuple(q), a.monomial(q, db));
-    }
-    result
+    let views = cache.views(db);
+    crate::batch::eval_cq_batched_restricted(q, db, options, &views, cache, None)
 }
 
 /// Evaluates a union of conjunctive queries: provenance sums over adjuncts
@@ -700,7 +455,7 @@ mod tests {
             "ans(x) :- R(x,y), R(y,x), x != y",
         ] {
             let q = parse_cq(text).unwrap();
-            let naive = eval_cq_with(&q, &db, EvalOptions::naive());
+            let naive = crate::eval_cq_naive(&q, &db);
             for options in [
                 EvalOptions::default(),
                 EvalOptions::syntactic(),
@@ -724,35 +479,9 @@ mod tests {
         for seed in 0..25u64 {
             let q = random_cq(&spec, seed);
             let db = random_database(&DatabaseSpec::single_binary(8, 3), seed);
-            let naive = eval_cq_with(&q, &db, EvalOptions::naive());
+            let naive = crate::eval_cq_naive(&q, &db);
             let planned = eval_cq_with(&q, &db, EvalOptions::default());
             assert_eq!(naive, planned, "strategies disagree on {q} (seed {seed})");
-        }
-    }
-
-    #[test]
-    fn index_only_and_planner_only_also_agree() {
-        let db = table_2_database();
-        let q = parse_cq("ans() :- R(x,y), R(y,z), R(z,x)").unwrap();
-        let reference = eval_cq_with(&q, &db, EvalOptions::naive());
-        for options in [
-            EvalOptions {
-                planner: PlannerKind::Syntactic,
-                use_index: false,
-                ..EvalOptions::default()
-            },
-            EvalOptions {
-                planner: PlannerKind::CostBased,
-                use_index: false,
-                ..EvalOptions::default()
-            },
-            EvalOptions {
-                planner: PlannerKind::WrittenOrder,
-                use_index: true,
-                ..EvalOptions::default()
-            },
-        ] {
-            assert_eq!(eval_cq_with(&q, &db, options), reference);
         }
     }
 }

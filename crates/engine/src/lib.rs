@@ -13,15 +13,14 @@ mod batch;
 mod cache;
 mod eval;
 mod index;
-mod parallel;
 mod planner;
 mod session;
 
-pub use assignment::Assignment;
+pub use assignment::{assignments, eval_cq_naive, eval_ucq_naive, Assignment};
 pub use cache::{CacheStats, EvalViews, IndexCache};
 pub use eval::{
-    assignments, assignments_with, eval_cq, eval_cq_with, eval_in_semiring, eval_ucq,
-    eval_ucq_with, AnnotatedResult, EvalOptions, DEFAULT_CHUNK_ROWS,
+    eval_cq, eval_cq_with, eval_in_semiring, eval_ucq, eval_ucq_with, AnnotatedResult, EvalOptions,
+    DEFAULT_CHUNK_ROWS, MAX_THREADS,
 };
 pub use index::{DatabaseIndex, RelationIndex};
 pub use planner::PlannerKind;

@@ -1,10 +1,8 @@
 //! Join planning: choosing the order in which a query's atoms are
 //! extended during assignment enumeration (Def 2.6).
 //!
-//! Three planners are provided, forming the B1 ablation axis:
+//! Two planners are provided, forming the B1 ablation axis:
 //!
-//! * [`PlannerKind::WrittenOrder`] — atoms in written order (the naive
-//!   reference strategy).
 //! * [`PlannerKind::Syntactic`] — most-bound-first by syntax alone:
 //!   constants and already-bound variables count, database ignored.
 //! * [`PlannerKind::CostBased`] — greedy minimum estimated candidate
@@ -23,8 +21,6 @@ use prov_storage::{Database, RelName};
 /// Which join planner orders the query's atoms.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PlannerKind {
-    /// Written order (no planning) — the naive reference.
-    WrittenOrder,
     /// Most-bound-first heuristic on query syntax only.
     Syntactic,
     /// Greedy cost-based ordering from relation/column cardinalities.
@@ -37,7 +33,6 @@ impl PlannerKind {
     /// permutation of `0..q.atoms().len()`.
     pub fn order(self, q: &ConjunctiveQuery, db: &Database) -> Vec<usize> {
         match self {
-            PlannerKind::WrittenOrder => (0..q.atoms().len()).collect(),
             PlannerKind::Syntactic => syntactic_order(q),
             PlannerKind::CostBased => cost_based_order(q, db),
         }
@@ -188,22 +183,11 @@ mod tests {
     fn every_planner_returns_a_permutation() {
         let db = skewed_db();
         let q = parse_cq("ans(x) :- R(x,y), S(x), R(y,z)").unwrap();
-        for kind in [
-            PlannerKind::WrittenOrder,
-            PlannerKind::Syntactic,
-            PlannerKind::CostBased,
-        ] {
+        for kind in [PlannerKind::Syntactic, PlannerKind::CostBased] {
             let mut order = kind.order(&q, &db);
             order.sort_unstable();
             assert_eq!(order, vec![0, 1, 2], "{kind:?} is not a permutation");
         }
-    }
-
-    #[test]
-    fn written_order_is_identity() {
-        let db = skewed_db();
-        let q = parse_cq("ans(x) :- R(x,y), S(x)").unwrap();
-        assert_eq!(PlannerKind::WrittenOrder.order(&q, &db), vec![0, 1]);
     }
 
     #[test]
@@ -226,10 +210,10 @@ mod tests {
         let order = PlannerKind::CostBased.order(&q, &db);
         assert_eq!(order.len(), 2);
         // And evaluation under the default (cost-based) options is empty,
-        // matching the naive reference.
+        // matching the oracle.
         use crate::eval::{eval_cq_with, EvalOptions};
         assert!(eval_cq_with(&q, &db, EvalOptions::default()).is_empty());
-        assert!(eval_cq_with(&q, &db, EvalOptions::naive()).is_empty());
+        assert!(crate::eval_cq_naive(&q, &db).is_empty());
     }
 
     #[test]

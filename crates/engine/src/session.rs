@@ -70,10 +70,9 @@ pub struct SessionStats {
     pub invalidations: u64,
     /// High-water mark of materialized frontier rows across this
     /// session's evaluations: the largest partial-assignment block the
-    /// batched pipeline held at once (or assignment buffer, for the
-    /// tuple paths). With [`EvalOptions::chunk_rows`] set this stays
-    /// bounded by chunk size × the largest one-step fan-out — the
-    /// memory-boundedness witness reported on `/stats` and
+    /// batched pipeline held at once. With [`EvalOptions::chunk_rows`]
+    /// set this stays bounded by chunk size × the largest one-step
+    /// fan-out — the memory-boundedness witness reported on `/stats` and
     /// `--cache-stats`.
     pub peak_frontier_rows: u64,
 }
@@ -452,7 +451,7 @@ fn exclude(annotations: &[Annotation]) -> RowRestrict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_ucq_with;
+    use crate::{eval_cq_naive, eval_ucq_naive};
     use prov_query::{parse_cq, parse_ucq};
 
     fn table_2_database() -> Database {
@@ -466,7 +465,7 @@ mod tests {
 
     fn assert_matches_fresh(session: &EvalSession, q: &UnionQuery, db: &Database) {
         let incremental = session.eval_ucq(q, db);
-        let fresh = eval_ucq_with(q, db, EvalOptions::naive());
+        let fresh = eval_ucq_naive(q, db);
         assert_eq!(*incremental, fresh, "incremental != from-scratch for {q}");
     }
 
@@ -677,18 +676,11 @@ mod tests {
         let session = EvalSession::new();
         let cq = parse_cq("ans(x) :- R(x,y), R(y,x), x != y").unwrap();
         let first = session.eval_cq(&cq, &db);
-        assert_eq!(
-            *first,
-            eval_ucq_with(
-                &parse_ucq("ans(x) :- R(x,y), R(y,x), x != y").unwrap(),
-                &db,
-                EvalOptions::naive()
-            )
-        );
+        assert_eq!(*first, eval_cq_naive(&cq, &db));
         db.add("R", &["b", "c"], "cd1");
         db.add("R", &["c", "b"], "cd2");
         let second = session.eval_cq(&cq, &db);
-        let fresh = crate::eval::eval_cq_with(&cq, &db, EvalOptions::naive());
+        let fresh = eval_cq_naive(&cq, &db);
         assert_eq!(*second, fresh);
         assert_eq!(session.stats().delta_applies, 1);
         // New relations appearing through the delta path also reconcile.
@@ -696,10 +688,7 @@ mod tests {
         session.eval_cq(&cq2, &db);
         db.add("S", &["c"], "cd3");
         let with_s = session.eval_cq(&cq2, &db);
-        assert_eq!(
-            *with_s,
-            crate::eval::eval_cq_with(&cq2, &db, EvalOptions::naive())
-        );
+        assert_eq!(*with_s, eval_cq_naive(&cq2, &db));
         assert!(with_s.provenance_ref(&Tuple::of(&["b"])).is_some());
     }
 }

@@ -3,8 +3,8 @@
 //! database behind an `RwLock` — exactly the `/eval`-vs-`/mutate`
 //! discipline of `provmin serve`. Two properties must hold:
 //!
-//! 1. **No stale reads.** Every session-served result equals a fresh
-//!    naive evaluation of the database content observed under the same
+//! 1. **No stale reads.** Every session-served result equals the Def 2.6
+//!    oracle's evaluation of the database content observed under the same
 //!    read lock — whether it came from the materialized store, a delta
 //!    reconcile, or a rebuild.
 //! 2. **Exactly-once reconciliation.** The store lock serializes
@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 use std::sync::{Mutex, RwLock};
 
-use prov_engine::{eval_cq_with, EvalOptions, EvalSession};
+use prov_engine::{eval_cq_naive, EvalOptions, EvalSession};
 use prov_query::parse_cq;
 use prov_storage::Database;
 
@@ -57,9 +57,11 @@ fn readers_never_see_stale_results_and_reconcile_once() {
                 // Alternate strategies: all readers share the one session
                 // entry regardless of how a miss would be evaluated.
                 let options = if reader % 2 == 0 {
-                    EvalOptions::batched()
+                    EvalOptions::default()
                 } else {
-                    EvalOptions::tuple()
+                    EvalOptions::syntactic()
+                        .with_parallelism(2)
+                        .with_chunk_rows(1)
                 };
                 for _ in 0..EVALS_PER_READER {
                     let guard = db.read().expect("not poisoned");
@@ -67,7 +69,7 @@ fn readers_never_see_stale_results_and_reconcile_once() {
                     let cached = session.eval_cq_with(q, &guard, options);
                     // Same read lock ⇒ same content: any divergence here
                     // means a stale result or view was served.
-                    let fresh = eval_cq_with(q, &guard, EvalOptions::naive());
+                    let fresh = eval_cq_naive(q, &guard);
                     assert_eq!(
                         *cached, fresh,
                         "stale session result served at generation {generation}"

@@ -28,7 +28,10 @@ fn mutation_invalidates_cached_index() {
     // restricted delta pass; removals are monomial surgery on the
     // materialized result and never touch the view cache at all. Either
     // way the one cold build stays the only build.
-    for options in [EvalOptions::tuple(), EvalOptions::batched()] {
+    for options in [
+        EvalOptions::default(),
+        EvalOptions::default().with_parallelism(4),
+    ] {
         let session = EvalSession::with_options(options);
         let before = session.eval_cq(&q, &db);
         assert_eq!(before.len(), 2);
@@ -63,7 +66,7 @@ fn mutation_invalidates_cached_index() {
     // Unchanged database: repeated evaluations are materialized-result
     // hits — one view build total, and the repeat never re-enters the
     // view cache at all.
-    let session = EvalSession::with_options(EvalOptions::batched());
+    let session = EvalSession::new();
     session.eval_cq(&q, &db);
     session.eval_cq(&q, &db);
     let stats = session.stats();
@@ -103,9 +106,11 @@ fn session_results_equal_uncached_across_strategies() {
         let q = parse_cq(text).unwrap();
         for options in [
             EvalOptions::default(),
-            EvalOptions::batched(),
+            EvalOptions::syntactic(),
             EvalOptions::default().with_parallelism(4),
-            EvalOptions::batched().with_parallelism(4),
+            EvalOptions::default()
+                .with_parallelism(4)
+                .with_chunk_rows(1),
         ] {
             let session = EvalSession::with_options(options);
             assert_eq!(

@@ -1,14 +1,17 @@
-//! Property: every execution strategy of the engine — tuple-at-a-time or
-//! columnar batched, sequential or sharded-parallel, under either planner
-//! — is *identical* (same tuples, same provenance polynomials, same
-//! coefficients) to sequential naive evaluation, on random CQ≠ queries
-//! and random databases. This is the ⊕-merge correctness argument of the
-//! parallel pipeline and the regrouping argument of the batched pipeline
-//! checked empirically as a three-way equivalence.
+//! Property: every configuration of the batched evaluator — sequential or
+//! chunk-parallel, under either planner, at any chunk size — is
+//! *identical* (same tuples, same provenance polynomials, same
+//! coefficients) to the paper-literal Def 2.6 oracle, on random CQ≠
+//! queries and random databases. This is the ⊕-merge correctness argument
+//! of the parallel mode and the regrouping argument of chunking checked
+//! empirically.
 
 use proptest::prelude::*;
 
-use prov_engine::{eval_cq_with, eval_ucq_with, EvalOptions, EvalSession, PlannerKind};
+use prov_engine::{
+    eval_cq_naive, eval_cq_with, eval_ucq_naive, eval_ucq_with, EvalOptions, EvalSession,
+    PlannerKind, DEFAULT_CHUNK_ROWS,
+};
 use prov_query::generate::{random_cq, QuerySpec};
 use prov_storage::generator::{random_database, DatabaseSpec};
 use prov_storage::{RelName, DELTA_LOG_CAPACITY};
@@ -33,42 +36,31 @@ proptest! {
         };
         let q = random_cq(&spec, query_seed);
         let db = random_database(&DatabaseSpec::single_binary(24, 5), db_seed);
-        let reference = eval_cq_with(&q, &db, EvalOptions::naive());
-        for batch in [false, true] {
-            for planner in [PlannerKind::Syntactic, PlannerKind::CostBased] {
-                for threads in [1usize, 4] {
-                    // chunk_rows only shapes the batched pipeline, so the
-                    // tuple path runs the axis once. 1 and 7 force the
-                    // re-chunking recursion constantly; 64Ki is the
-                    // default; None is the unbounded legacy behaviour.
-                    let chunk_axis: &[Option<usize>] = if batch {
-                        &[Some(1), Some(7), Some(64 * 1024), None]
-                    } else {
-                        &[None]
+        let reference = eval_cq_naive(&q, &db);
+        for planner in [PlannerKind::Syntactic, PlannerKind::CostBased] {
+            for threads in [1usize, 4] {
+                // 1 and 7 force the re-chunking recursion constantly; 64Ki
+                // is the default; None is the unbounded behaviour.
+                for chunk in [Some(1), Some(7), Some(64 * 1024), None] {
+                    let mut options = EvalOptions::default()
+                        .with_planner(planner)
+                        .with_parallelism(threads);
+                    options = match chunk {
+                        Some(rows) => options.with_chunk_rows(rows),
+                        None => options.unchunked(),
                     };
-                    for &chunk in chunk_axis {
-                        let mut options = EvalOptions::default()
-                            .with_batch(batch)
-                            .with_planner(planner)
-                            .with_parallelism(threads);
-                        options = match chunk {
-                            Some(rows) => options.with_chunk_rows(rows),
-                            None => options.unchunked(),
-                        };
-                        let result = eval_cq_with(&q, &db, options);
-                        prop_assert_eq!(
-                            &result,
-                            &reference,
-                            "batch={} × {:?} × {} threads × chunk {:?} diverges on {} (query seed {}, db seed {})",
-                            batch,
-                            planner,
-                            threads,
-                            chunk,
-                            q,
-                            query_seed,
-                            db_seed
-                        );
-                    }
+                    let result = eval_cq_with(&q, &db, options);
+                    prop_assert_eq!(
+                        &result,
+                        &reference,
+                        "{:?} × {} threads × chunk {:?} diverges on {} (query seed {}, db seed {})",
+                        planner,
+                        threads,
+                        chunk,
+                        q,
+                        query_seed,
+                        db_seed
+                    );
                 }
             }
         }
@@ -79,25 +71,24 @@ proptest! {
         query_seed in 0u64..200,
         db_seed in 0u64..40,
     ) {
-        // The PR 2 shape kept for coverage: 2 and 8 threads, both modes.
+        // 2 and 8 threads, at the default chunk size and at chunk 1.
         let spec = QuerySpec {
             diseq_percent: 25,
             ..QuerySpec::binary(3, 4)
         };
         let q = random_cq(&spec, query_seed);
         let db = random_database(&DatabaseSpec::single_binary(24, 5), db_seed);
-        let reference = eval_cq_with(&q, &db, EvalOptions::naive());
-        for batch in [false, true] {
-            for threads in [2usize, 8] {
-                let options = EvalOptions::default()
-                    .with_batch(batch)
-                    .with_parallelism(threads);
+        let reference = eval_cq_naive(&q, &db);
+        for threads in [2usize, 8] {
+            for options in [
+                EvalOptions::default().with_parallelism(threads),
+                EvalOptions::default().with_parallelism(threads).with_chunk_rows(1),
+            ] {
                 prop_assert_eq!(
                     &eval_cq_with(&q, &db, options),
                     &reference,
-                    "batch={} × {} threads diverges on {} (query seed {}, db seed {})",
-                    batch,
-                    threads,
+                    "{:?} diverges on {} (query seed {}, db seed {})",
+                    options,
                     q,
                     query_seed,
                     db_seed
@@ -119,22 +110,23 @@ proptest! {
         let name = ScenarioSpec::names()[spec_index % ScenarioSpec::names().len()];
         let sampler = Sampler::named(name).expect(name);
         let scenario = sampler.scenario(seed, case);
-        let reference = eval_ucq_with(&scenario.query, &scenario.database, EvalOptions::naive());
-        for batch in [false, true] {
-            for planner in [PlannerKind::WrittenOrder, PlannerKind::Syntactic, PlannerKind::CostBased] {
-                for threads in [1usize, 4] {
+        let reference = eval_ucq_naive(&scenario.query, &scenario.database);
+        for planner in [PlannerKind::Syntactic, PlannerKind::CostBased] {
+            for threads in [1usize, 4] {
+                // 0 = unchunked.
+                for chunk in [1usize, DEFAULT_CHUNK_ROWS, 0] {
                     let options = EvalOptions::default()
-                        .with_batch(batch)
                         .with_planner(planner)
-                        .with_parallelism(threads);
+                        .with_parallelism(threads)
+                        .with_chunk_rows(chunk);
                     let result = eval_ucq_with(&scenario.query, &scenario.database, options);
                     prop_assert_eq!(
                         &result,
                         &reference,
-                        "batch={} × {:?} × {} threads diverges on {} ({})",
-                        batch,
+                        "{:?} × {} threads × chunk {} diverges on {} ({})",
                         planner,
                         threads,
+                        chunk,
                         &scenario.query,
                         scenario.replay()
                     );
@@ -148,7 +140,7 @@ proptest! {
         seed in 0u64..300,
         case in 0u64..60,
     ) {
-        // The fourth way: a persistent EvalSession maintained through the
+        // A persistent EvalSession maintained through the
         // `mutate` spec's random insert/delete scripts must stay
         // bit-identical to from-scratch naive evaluation after every
         // mutation — including deletes of annotations shared across many
@@ -157,10 +149,13 @@ proptest! {
         let sampler = Sampler::named("mutate").expect("built-in mutate spec");
         let scenario = sampler.scenario(seed, case);
         let rel = RelName::new("R");
-        let sessions: Vec<EvalSession> = [EvalOptions::tuple(), EvalOptions::batched()]
-            .into_iter()
-            .map(EvalSession::with_options)
-            .collect();
+        let sessions: Vec<EvalSession> = [
+            EvalOptions::default(),
+            EvalOptions::default().with_parallelism(4).with_chunk_rows(1),
+        ]
+        .into_iter()
+        .map(EvalSession::with_options)
+        .collect();
         let mut dbs = vec![scenario.database.clone(), scenario.database.clone()];
         for (session, db) in sessions.iter().zip(&dbs) {
             session.eval_ucq(&scenario.query, db);
@@ -176,7 +171,7 @@ proptest! {
                     }
                 };
             }
-            let scratch = eval_ucq_with(&scenario.query, &dbs[0], EvalOptions::naive());
+            let scratch = eval_ucq_naive(&scenario.query, &dbs[0]);
             for (session, db) in sessions.iter().zip(&dbs) {
                 prop_assert_eq!(
                     &*session.eval_ucq(&scenario.query, db),
@@ -206,7 +201,7 @@ proptest! {
                 db.add("R", &[&format!("t{j}"), "v0"], &format!("trunc_{seed}_{case}_{j}"));
             }
         }
-        let scratch = eval_ucq_with(&scenario.query, &dbs[0], EvalOptions::naive());
+        let scratch = eval_ucq_naive(&scenario.query, &dbs[0]);
         for (session, db) in sessions.iter().zip(&dbs) {
             let rebuilds_before = session.stats().full_rebuilds;
             prop_assert_eq!(

@@ -1,8 +1,8 @@
 //! The soak behind the batched-default flip, upgraded for incremental
 //! maintenance: persistent [`EvalSession`]s carried across interleaved
-//! database mutations, across {batched, tuple} × {1, 4 threads} plus a
-//! UCQ session. Every incrementally-maintained result must be
-//! bit-identical to a fresh naive evaluation of the *current* database —
+//! database mutations, across {1, 4 threads} × {default, small chunks}
+//! plus a UCQ session. Every incrementally-maintained result must be
+//! bit-identical to the Def 2.6 oracle on the *current* database —
 //! the mutations happen behind the sessions' backs (no
 //! `apply_mutation`), so reconciliation rides purely on the database's
 //! delta log. The counters must show the cheap path was actually taken:
@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use prov_engine::{eval_cq_with, EvalOptions, EvalSession};
+use prov_engine::{eval_cq_naive, eval_ucq_naive, EvalOptions, EvalSession};
 use prov_query::UnionQuery;
 use prov_storage::{RelName, Tuple, DELTA_LOG_CAPACITY};
 use prov_workload::Sampler;
@@ -62,10 +62,10 @@ proptest! {
         let replay = scenario.replay();
         let mut db = scenario.database;
         let sessions: Vec<EvalSession> = [
-            EvalOptions::tuple(),
-            EvalOptions::tuple().with_parallelism(4),
-            EvalOptions::batched(),
-            EvalOptions::batched().with_parallelism(4),
+            EvalOptions::default(),
+            EvalOptions::default().with_parallelism(4),
+            EvalOptions::syntactic().with_chunk_rows(1),
+            EvalOptions::syntactic().with_parallelism(4).with_chunk_rows(7),
         ]
         .into_iter()
         .map(EvalSession::with_options)
@@ -108,13 +108,13 @@ proptest! {
                 gen_moves += 1;
             }
 
-            let reference = eval_cq_with(&cq, &db, EvalOptions::naive());
+            let reference = eval_cq_naive(&cq, &db);
             for session in &sessions {
                 let result = session.eval_cq(&cq, &db);
                 prop_assert_eq!(
                     &*result,
                     &reference,
-                    "{:?} diverged from naive after mutation step {} on {} ({})",
+                    "{:?} diverged from the oracle after mutation step {} on {} ({})",
                     session.options(),
                     step,
                     &cq,
@@ -122,14 +122,8 @@ proptest! {
                 );
             }
             // UCQ disjunct sharing: both disjuncts reconciled inside one
-            // session entry, still identical to the naive union evaluation.
-            let union_reference = {
-                let mut acc = eval_cq_with(&union_q.adjuncts()[0], &db, EvalOptions::naive());
-                for adjunct in &union_q.adjuncts()[1..] {
-                    acc.merge(eval_cq_with(adjunct, &db, EvalOptions::naive()));
-                }
-                acc
-            };
+            // session entry, still identical to the oracle's union.
+            let union_reference = eval_ucq_naive(&union_q, &db);
             let union_result = union_session.eval_ucq(&union_q, &db);
             prop_assert_eq!(&*union_result, &union_reference, "union diverged at step {}", step);
         }
@@ -145,13 +139,13 @@ proptest! {
 
         // Log-truncation fallback: a burst larger than the delta log
         // forces exactly one from-scratch rebuild, after which results
-        // still match naive bit-for-bit.
+        // still match the oracle bit-for-bit.
         for i in 0..DELTA_LOG_CAPACITY + 1 {
             // Guaranteed-fresh tuples (`b{i}` is outside the scenario
             // domain), so every insert logs a real event.
             db.add("R", &[&format!("b{i}"), "d0"], &format!("burst_{seed}_{case}_{script_seed}_{i}"));
         }
-        let reference = eval_cq_with(&cq, &db, EvalOptions::naive());
+        let reference = eval_cq_naive(&cq, &db);
         for session in &sessions {
             let result = session.eval_cq(&cq, &db);
             prop_assert_eq!(&*result, &reference, "post-truncation divergence ({})", &replay);

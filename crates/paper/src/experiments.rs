@@ -502,13 +502,17 @@ pub fn x2_algebra_extension() -> ExperimentReport {
     r
 }
 
-/// X3 — engine scaling extension: sharded parallel evaluation and the
-/// cost-based planner reproduce Def 2.12's provenance *exactly*. The merge
-/// of per-thread partial results is the semiring ⊕, which is commutative
-/// and associative, so shard completion order cannot change the output.
+/// X3 — engine scaling extension: the batched pipeline's chunk-parallel
+/// mode and both planners reproduce Def 2.12's provenance *exactly*. The
+/// merge of per-thread partial results is the semiring ⊕, which is
+/// commutative and associative, so chunk completion order cannot change
+/// the output.
 pub fn x3_parallel_eval() -> ExperimentReport {
     use prov_storage::generator::{random_database, DatabaseSpec};
-    let mut r = ExperimentReport::new("X3", "Extension: sharded parallel evaluation (Def 2.12)");
+    let mut r = ExperimentReport::new(
+        "X3",
+        "Extension: chunk-parallel batched evaluation (Def 2.12)",
+    );
     let db = table_2_database();
     let qunion = fig1_qunion();
     let reference = eval_ucq(&qunion, &db);
@@ -524,7 +528,7 @@ pub fn x3_parallel_eval() -> ExperimentReport {
             );
         }
     }
-    // A larger synthetic instance, where sharding actually spreads work.
+    // A larger synthetic instance, where the chunks actually spread work.
     let big = random_database(&DatabaseSpec::single_binary(300, 20), 17);
     let triangle = prov_query::parse_ucq("ans() :- R(x,y), R(y,z), R(z,x)").expect("parses");
     let seq = eval_ucq(&triangle, &big);

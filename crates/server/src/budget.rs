@@ -7,52 +7,31 @@
 use std::time::Duration;
 
 use prov_core::minimize::{MinimizeOptions, Strategy};
-use prov_engine::{EvalOptions, PlannerKind};
+use prov_engine::{EvalOptions, PlannerKind, MAX_THREADS};
 
 use crate::json::Json;
 
-/// Cap on the wire-supplied `threads` field. The engine spawns that many
-/// scoped OS threads per evaluation, so an unbounded client value would
-/// be a one-request denial of service; anything past the machine's core
-/// count is overhead anyway.
-pub const MAX_THREADS: u64 = 64;
-
-/// Reads `/eval` strategy fields from the request body:
-/// `mode` (`"batched"` default / `"tuple"`), `threads` (1 ..=
-/// [`MAX_THREADS`]), `planner` (`"written"`, `"syntactic"`, `"cost"`),
-/// `chunk_rows` (frontier chunk size for the batched pipeline; 0
-/// disables chunking). Unknown fields are ignored so clients can
-/// round-trip stats blobs.
+/// Reads `/eval` strategy fields from the request body: `threads` (1 ..=
+/// [`MAX_THREADS`]), `planner` (`"syntactic"`, `"cost"`), `chunk_rows`
+/// (frontier chunk size for the batched pipeline; 0 disables chunking).
+/// Unknown fields are ignored so clients can round-trip stats blobs.
 pub fn eval_options(body: &Json) -> Result<EvalOptions, String> {
     let mut options = EvalOptions::default();
-    if let Some(mode) = body.get("mode") {
-        let mode = mode.as_str().ok_or("\"mode\" must be a string")?;
-        options = match mode {
-            "batched" => options.with_batch(true),
-            "tuple" => options.with_batch(false),
-            other => return Err(format!("unknown mode {other:?} (batched|tuple)")),
-        };
-    }
     if let Some(threads) = body.get("threads") {
         let n = threads
             .as_u64()
             .filter(|&n| n >= 1)
             .ok_or("\"threads\" must be a positive integer")?;
-        if n > MAX_THREADS {
+        if n > MAX_THREADS as u64 {
             return Err(format!("\"threads\" must be at most {MAX_THREADS}"));
         }
         options = options.with_parallelism(n as usize);
     }
     if let Some(planner) = body.get("planner") {
         let kind = match planner.as_str().ok_or("\"planner\" must be a string")? {
-            "written" => PlannerKind::WrittenOrder,
             "syntactic" => PlannerKind::Syntactic,
             "cost" => PlannerKind::CostBased,
-            other => {
-                return Err(format!(
-                    "unknown planner {other:?} (written|syntactic|cost)"
-                ))
-            }
+            other => return Err(format!("unknown planner {other:?} (syntactic|cost)")),
         };
         options = options.with_planner(kind);
     }
@@ -115,19 +94,19 @@ mod tests {
     fn eval_defaults_and_overrides() {
         let defaults = eval_options(&obj("{}")).expect("defaults");
         assert_eq!(defaults, EvalOptions::default());
-        let opts = eval_options(&obj(
-            r#"{"mode":"tuple","threads":4,"planner":"syntactic"}"#,
-        ))
-        .expect("parses");
-        assert_eq!(
-            opts,
-            EvalOptions::tuple()
-                .with_parallelism(4)
-                .with_planner(PlannerKind::Syntactic)
-        );
-        assert!(eval_options(&obj(r#"{"mode":"vectorized"}"#)).is_err());
+        let opts = eval_options(&obj(r#"{"threads":4,"planner":"syntactic"}"#)).expect("parses");
+        assert_eq!(opts, EvalOptions::syntactic().with_parallelism(4));
         assert!(eval_options(&obj(r#"{"threads":0}"#)).is_err());
+        assert!(eval_options(&obj(r#"{"threads":64}"#)).is_ok());
+        assert!(eval_options(&obj(r#"{"threads":65}"#)).is_err());
         assert!(eval_options(&obj(r#"{"planner":"best"}"#)).is_err());
+        assert!(eval_options(&obj(r#"{"planner":"written"}"#)).is_err());
+        // `mode` selected an evaluator that no longer exists; like any
+        // unknown field it is ignored.
+        assert_eq!(
+            eval_options(&obj(r#"{"mode":"tuple"}"#)).expect("parses"),
+            EvalOptions::default()
+        );
     }
 
     #[test]

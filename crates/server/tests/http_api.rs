@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use prov_engine::{eval_ucq_with, EvalOptions};
+use prov_engine::eval_ucq;
 use prov_query::parse_ucq;
 use prov_server::{client, serve, Json, ServeConfig, ServerHandle};
 use prov_storage::textio::parse_database;
@@ -46,7 +46,7 @@ fn eval_over_tcp_matches_in_process_engine() {
 
     let q = parse_ucq(&query.replace(';', "\n")).expect("query parses");
     let db = parse_database(TABLE_2).expect("db parses");
-    let expected: Vec<String> = eval_ucq_with(&q, &db, EvalOptions::default())
+    let expected: Vec<String> = eval_ucq(&q, &db)
         .iter()
         .map(|(t, p)| format!("{t}  [{p}]"))
         .collect();
@@ -217,6 +217,32 @@ fn malformed_requests_do_not_wedge_the_server() {
     let (status, _) =
         client::post_json(&addr, "/eval", r#"{"query": "ans(x) :- R(x,x)"}"#).expect("eval");
     assert_eq!(status, 200);
+    handle.shutdown();
+}
+
+#[test]
+fn removed_evaluator_knobs_on_the_wire() {
+    let (handle, addr) = start(TABLE_2);
+    let query = "ans(x) :- R(x,y), R(y,x)";
+    // The written-order planner is gone: an unknown planner is a 400.
+    let (status, _) = client::post_json(
+        &addr,
+        "/eval",
+        &format!(r#"{{"query": "{query}", "planner": "written"}}"#),
+    )
+    .expect("round trip");
+    assert_eq!(status, 400);
+    // `mode` selected an evaluator that is gone too; it is now an
+    // ignored unknown field, answered like the same request without it.
+    let results = |body: &str| {
+        let (status, response) = client::post_json(&addr, "/eval", body).expect("round trip");
+        assert_eq!(status, 200, "{body}");
+        json(&response).get("results").cloned().expect("results")
+    };
+    assert_eq!(
+        results(&format!(r#"{{"query": "{query}", "mode": "tuple"}}"#)),
+        results(&format!(r#"{{"query": "{query}"}}"#))
+    );
     handle.shutdown();
 }
 

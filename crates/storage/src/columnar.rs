@@ -12,7 +12,7 @@
 //! and disequality filters are plain `u32` compares the autovectorizer
 //! can chew on, and values are decoded back ([`Value::from_id`]) only at
 //! the output boundary. Views are plain owned data and therefore freely
-//! borrowable by shards and worker threads.
+//! borrowable by worker threads.
 //!
 //! Row order is insertion order, matching [`Relation::iter`]/[`Relation::row`],
 //! so row indices are interchangeable between a relation, its posting-list

@@ -17,7 +17,6 @@ mod value;
 
 pub mod durability;
 pub mod generator;
-pub mod shard;
 pub mod snapshot;
 pub mod textio;
 pub mod wal;
@@ -29,7 +28,6 @@ pub use durability::{
 };
 pub use prov_semiring::Interner;
 pub use relation::Relation;
-pub use shard::{RelationShards, ShardedDatabase};
 pub use tuple::Tuple;
 pub use valuation::{Renaming, Valuation};
 pub use value::{RelName, Value};

@@ -4,19 +4,18 @@
 //! every axis the engine and minimizer expose; a divergence anywhere is
 //! a bug in exactly the guarantees the source paper proves:
 //!
-//! * **Evaluation** — `{batched, tuple} × {1, 4 threads} ×
-//!   {cost-based, syntactic, written-order planners}`, plus two
-//!   degenerate-chunk batched configs (`--chunk-rows` overrides the
-//!   whole matrix), must be bit-identical to the naive reference
-//!   (Def 2.6/2.12: every strategy enumerates the same assignments;
-//!   ⊕-merge order is immaterial — chunked accumulation is just another
-//!   regrouping of ⊕). Each configuration runs in its own
-//!   [`EvalSession`] (a shared session would serve later configs the
-//!   first one's materialized result and check nothing).
+//! * **Evaluation** — `{1, 4 threads} × {cost-based, syntactic planners}
+//!   × {chunk 1, default chunk, unchunked}` (`--chunk-rows` replaces the
+//!   chunk axis) must be bit-identical to the paper-literal Def 2.6 oracle
+//!   [`eval_ucq_naive`] (Def 2.6/2.12: every configuration enumerates the
+//!   same assignments; ⊕-merge order is immaterial — chunked
+//!   accumulation is just another regrouping of ⊕). Each configuration
+//!   runs in its own [`EvalSession`] (a shared session would serve later
+//!   configs the first one's materialized result and check nothing).
 //! * **Incremental maintenance** — for scenarios carrying a mutation
 //!   script (the `mutate` spec), one `EvalSession` is driven across the
 //!   whole insert/delete interleaving and must stay bit-identical to
-//!   from-scratch naive evaluation at every observation point — the
+//!   the oracle at every observation point — the
 //!   delta ⊕-join and deletion-propagation paths of `docs/CACHE.md`.
 //! * **Semirings** — specializing the `N[X]` result through a valuation
 //!   must agree with [`eval_in_semiring`] for the scenario's semiring
@@ -34,7 +33,9 @@
 use std::collections::BTreeMap;
 
 use prov_core::minimize::{minimize_with, Budget, MinimizeOptions, MinimizeOutcome, Strategy};
-use prov_engine::{eval_in_semiring, eval_ucq_with, EvalOptions, EvalSession, PlannerKind};
+use prov_engine::{
+    eval_in_semiring, eval_ucq_naive, EvalOptions, EvalSession, PlannerKind, DEFAULT_CHUNK_ROWS,
+};
 use prov_query::containment::equivalent;
 use prov_query::ConjunctiveQuery;
 use prov_semiring::order::poly_leq;
@@ -54,9 +55,9 @@ pub struct FuzzOptions {
     pub start: u64,
     /// Number of cases.
     pub cases: u64,
-    /// `Some(n)`: force chunk size `n` (0 = unchunked) onto *every* eval
-    /// configuration, replacing the default matrix's two dedicated
-    /// chunked configs. `None`: default matrix.
+    /// `Some(n)`: run every eval configuration at chunk size `n` (0 =
+    /// unchunked) instead of across the chunk axis. `None`: the full
+    /// matrix.
     pub chunk_rows: Option<usize>,
 }
 
@@ -95,59 +96,38 @@ pub enum FuzzVerdict {
         /// Cases checked.
         cases: u64,
         /// Eval configurations differenced per case (excluding the
-        /// naive reference).
+        /// oracle).
         eval_configs: usize,
     },
     /// A case diverged; fuzzing stopped at the first one.
     Diverged(Box<Divergence>),
 }
 
-/// The differential evaluation configurations (the naive reference runs
-/// separately). The base matrix is `{batched, tuple} × {1, 4 threads} ×
-/// {cost, syntactic, written}` = 12 configs, all at the default chunk
-/// size; without an override, two degenerate-chunk configs (chunk 1
-/// sequential, chunk 7 parallel — the sizes that maximally exercise the
-/// re-chunking recursion) ride along for 14. A `chunk_override` of
-/// `Some(n)` instead forces chunk size `n` (0 = unchunked) onto every
-/// base config.
+/// The differential evaluation configurations (the oracle runs
+/// separately): `{1, 4 threads} × {cost, syntactic} × {chunk 1, default
+/// chunk, unchunked}` = 12 configs. Chunk 1 maximally exercises the
+/// re-chunking recursion; unchunked materializes every full frontier. A
+/// `chunk_override` of `Some(n)` replaces the chunk axis with `n` alone
+/// (0 = unchunked), leaving 4 configs.
 fn eval_configs(chunk_override: Option<usize>) -> Vec<(String, EvalOptions)> {
-    let chunked = |options: EvalOptions, rows: usize| {
-        if rows == 0 {
-            options.unchunked()
-        } else {
-            options.with_chunk_rows(rows)
-        }
+    let chunk_axis = match chunk_override {
+        Some(rows) => vec![rows],
+        None => vec![1, DEFAULT_CHUNK_ROWS, 0],
     };
     let mut configs = Vec::new();
-    for (mode_name, batch) in [("batched", true), ("tuple", false)] {
-        for threads in [1usize, 4] {
-            for (planner_name, planner) in [
-                ("cost", PlannerKind::CostBased),
-                ("syntactic", PlannerKind::Syntactic),
-                ("written", PlannerKind::WrittenOrder),
-            ] {
-                let mut options = EvalOptions::default()
-                    .with_batch(batch)
+    for threads in [1usize, 4] {
+        for (planner_name, planner) in [
+            ("cost", PlannerKind::CostBased),
+            ("syntactic", PlannerKind::Syntactic),
+        ] {
+            for &rows in &chunk_axis {
+                // `with_chunk_rows(0)` is unchunked.
+                let options = EvalOptions::default()
                     .with_planner(planner)
-                    .with_parallelism(threads);
-                let mut name = format!("{mode_name}/{planner_name}/t{threads}");
-                if let Some(rows) = chunk_override {
-                    options = chunked(options, rows);
-                    name.push_str(&format!("/chunk{rows}"));
-                }
-                configs.push((name, options));
+                    .with_parallelism(threads)
+                    .with_chunk_rows(rows);
+                configs.push((format!("{planner_name}/t{threads}/chunk{rows}"), options));
             }
-        }
-    }
-    if chunk_override.is_none() {
-        for (threads, rows) in [(1usize, 1usize), (4, 7)] {
-            let options = chunked(
-                EvalOptions::default()
-                    .with_batch(true)
-                    .with_parallelism(threads),
-                rows,
-            );
-            configs.push((format!("batched/cost/t{threads}/chunk{rows}"), options));
         }
     }
     configs
@@ -202,17 +182,17 @@ pub fn check_scenario(
     let query = &scenario.query;
     let db = &scenario.database;
 
-    // 1. Every eval configuration, bit-identical against the naive
-    //    reference. One session per config: within it a union's
-    //    disjuncts share an index/columnar build, while across configs
-    //    every evaluation is genuinely re-run.
-    let reference = eval_ucq_with(query, db, EvalOptions::naive());
+    // 1. Every eval configuration, bit-identical against the oracle. One
+    //    session per config: within it a union's disjuncts share an
+    //    index/columnar build, while across configs every evaluation is
+    //    genuinely re-run.
+    let reference = eval_ucq_naive(query, db);
     for (name, options) in configs {
         let session = EvalSession::with_options(*options);
         let result = session.eval_ucq(query, db);
         if *result != reference {
             return Err(format!(
-                "eval config {name} diverged from the naive reference on {} ({} vs {} tuples, skew {})",
+                "eval config {name} diverged from the Def 2.6 oracle on {} ({} vs {} tuples, skew {})",
                 query,
                 result.len(),
                 reference.len(),
@@ -242,7 +222,7 @@ pub fn check_scenario(
                 "strategy {strategy} produced a non-equivalent rewriting: {query}  ⇏  {minimized}"
             ));
         }
-        let min_result = eval_ucq_with(&minimized, db, EvalOptions::naive());
+        let min_result = eval_ucq_naive(&minimized, db);
         let answers: Vec<&Tuple> = reference.tuples().collect();
         let min_answers: Vec<&Tuple> = min_result.tuples().collect();
         if answers != min_answers {
@@ -289,7 +269,7 @@ pub fn check_scenario(
 
 /// Drives one [`EvalSession`] across the scenario's insert/delete
 /// interleaving, asserting the incrementally-maintained result is
-/// bit-identical to from-scratch naive evaluation at every observation
+/// bit-identical to the oracle's from-scratch evaluation at every observation
 /// point. Observations alternate between every-step and every-other-step
 /// so some delta windows carry several events (including transients and
 /// remove/re-insert pairs the netting logic must collapse).
@@ -313,7 +293,7 @@ fn check_mutations(scenario: &Scenario) -> Result<(), String> {
         }
         if i % 2 == 1 || i + 1 == scenario.mutations.len() {
             let incremental = session.eval_ucq(query, &db);
-            let scratch = eval_ucq_with(query, &db, EvalOptions::naive());
+            let scratch = eval_ucq_naive(query, &db);
             if *incremental != scratch {
                 return Err(format!(
                     "incremental session diverged from from-scratch after mutation step {i} \
@@ -442,7 +422,7 @@ mod tests {
                     eval_configs,
                 } => {
                     assert_eq!(cases, 6);
-                    assert_eq!(eval_configs, 14);
+                    assert_eq!(eval_configs, 12);
                 }
                 FuzzVerdict::Diverged(d) => {
                     panic!("unexpected divergence: {} — {}", d.replay, d.detail)
@@ -451,29 +431,38 @@ mod tests {
         }
     }
 
-    /// Satellite of the chunked-eval PR: chunk size 1 (the maximally
-    /// re-chunked pipeline) must stay bit-identical to the tuple-at-a-time
-    /// path on a slice of every spec. Transitivity through the naive
-    /// reference already implies this inside `run`; this pins the direct
-    /// comparison so a future naive-path bug can't mask a chunking one.
+    /// Chunk size 1 (the maximally re-chunked pipeline) must stay
+    /// bit-identical to the Def 2.6 oracle on a slice of every spec,
+    /// sequential and parallel.
     #[test]
-    fn chunk_rows_one_matches_tuple_path_on_every_spec() {
+    fn chunk_rows_one_matches_the_oracle_on_every_spec() {
         for spec in prov_workload::ScenarioSpec::names() {
             let sampler = Sampler::named(spec).expect("spec resolves");
             for case in 0..4 {
                 let scenario = sampler.scenario(11, case);
-                let chunked = EvalSession::with_options(
-                    EvalOptions::default().with_batch(true).with_chunk_rows(1),
-                );
-                let tuple = EvalSession::with_options(EvalOptions::default().with_batch(false));
-                assert_eq!(
-                    *chunked.eval_ucq(&scenario.query, &scenario.database),
-                    *tuple.eval_ucq(&scenario.query, &scenario.database),
-                    "chunk_rows=1 diverged from tuple path on {}",
-                    scenario.replay(),
-                );
+                let oracle = eval_ucq_naive(&scenario.query, &scenario.database);
+                for threads in [1usize, 4] {
+                    let chunked = EvalSession::with_options(
+                        EvalOptions::default()
+                            .with_chunk_rows(1)
+                            .with_parallelism(threads),
+                    );
+                    assert_eq!(
+                        *chunked.eval_ucq(&scenario.query, &scenario.database),
+                        oracle,
+                        "chunk_rows=1 on {threads} thread(s) diverged from the oracle on {}",
+                        scenario.replay(),
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn chunk_override_replaces_the_chunk_axis() {
+        let configs = eval_configs(Some(3));
+        assert_eq!(configs.len(), 4);
+        assert!(configs.iter().all(|(_, o)| o.chunk_rows == Some(3)));
     }
 
     #[test]

@@ -153,19 +153,62 @@ fn usage_errors_are_2() {
 }
 
 #[test]
-fn eval_succeeds_and_batch_tuple_agree() {
-    let db = TempDb::new("table2", TABLE_2);
+fn removed_evaluator_flags_are_usage_errors() {
+    let db = TempDb::new("table2_removed_flags", TABLE_2);
     let query = "ans(x) :- R(x,y), R(y,x), x != y ; ans(x) :- R(x,x)";
-    let batched = provmin(&["eval", db.path(), query]);
-    assert_eq!(code(&batched), 0);
-    let tuple = provmin(&["eval", "--tuple", db.path(), query]);
-    assert_eq!(code(&tuple), 0);
+    let eval = provmin(&["eval", db.path(), query]);
+    assert_eq!(code(&eval), 0);
+    assert!(stdout(&eval).contains("(a)"));
+    // One evaluator: the flags that chose among several are gone.
+    for flag in ["--tuple", "--batch"] {
+        assert_eq!(
+            code(&provmin(&["eval", flag, db.path(), query])),
+            2,
+            "{flag}"
+        );
+    }
     assert_eq!(
-        stdout(&batched),
-        stdout(&tuple),
-        "the default (batched) and --tuple paths must print identical results"
+        code(&provmin(&[
+            "eval",
+            "--planner",
+            "written",
+            db.path(),
+            query
+        ])),
+        2
     );
-    assert!(stdout(&batched).contains("(a)"));
+    // The remaining knobs print identical results.
+    let planned = provmin(&[
+        "eval",
+        "--planner",
+        "syntactic",
+        "--chunk-rows",
+        "1",
+        db.path(),
+        query,
+    ]);
+    assert_eq!(code(&planned), 0);
+    assert_eq!(stdout(&planned), stdout(&eval));
+}
+
+#[test]
+fn threads_beyond_the_cap_are_usage_errors() {
+    let db = TempDb::new("table2_threads", TABLE_2);
+    let query = "ans(x) :- R(x,y), R(y,x)";
+    let capped = provmin(&["eval", "--threads", "64", db.path(), query]);
+    assert_eq!(code(&capped), 0);
+    assert_eq!(
+        stdout(&capped),
+        stdout(&provmin(&["eval", db.path(), query]))
+    );
+    assert_eq!(
+        code(&provmin(&["eval", "--threads", "65", db.path(), query])),
+        2
+    );
+    assert_eq!(
+        code(&provmin(&["core", "--threads", "100000", db.path(), query])),
+        2
+    );
 }
 
 // ------------------------------------------------------------- fuzz

@@ -107,13 +107,13 @@ fn general_annotations_preserve_the_order() {
 /// larger generated instance (differential end-to-end check).
 #[test]
 fn strategies_and_cores_agree_on_generated_instance() {
-    use provmin::engine::{eval_cq_with, EvalOptions};
+    use provmin::engine::eval_cq_naive;
     use provmin::storage::generator::{random_database, DatabaseSpec};
     let db = random_database(&DatabaseSpec::single_binary(30, 5), 99);
     let q = parse_cq("ans(x) :- R(x,y), R(y,x)").unwrap();
 
-    let naive = eval_cq_with(&q, &db, EvalOptions::naive());
-    let planned = eval_cq_with(&q, &db, EvalOptions::default());
+    let naive = eval_cq_naive(&q, &db);
+    let planned = eval_cq(&q, &db);
     assert_eq!(naive, planned);
 
     let minimal = minprov_cq(&q);
