@@ -48,7 +48,6 @@ fn bench_eval(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_eval,
-    bench_strategy_ablation,
     bench_parallel_eval,
     bench_batched_eval,
     bench_incremental_maintenance
@@ -119,24 +118,6 @@ fn bench_batched_eval(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("batched", 50), &db, |b, db| {
         b.iter(|| black_box(eval_cq_with(&triangle, db, EvalOptions::default())))
     });
-    group.finish();
-}
-
-// Ablation (DESIGN.md B1): the cost-based vs the syntactic planner on a
-// selective query where planning matters.
-fn bench_strategy_ablation(c: &mut Criterion) {
-    use prov_engine::{eval_cq_with, EvalOptions};
-    let selective = parse_cq("ans(x) :- R(x,y), R(y,'d1'), R('d0',x)").unwrap();
-    let mut group = c.benchmark_group("eval_strategy_ablation");
-    for &n in &[200usize, 800] {
-        let db = binary_db(n, 12, 1);
-        group.bench_with_input(BenchmarkId::new("cost_planned", n), &db, |b, db| {
-            b.iter(|| black_box(eval_cq_with(&selective, db, EvalOptions::default())))
-        });
-        group.bench_with_input(BenchmarkId::new("syntactic", n), &db, |b, db| {
-            b.iter(|| black_box(eval_cq_with(&selective, db, EvalOptions::syntactic())))
-        });
-    }
     group.finish();
 }
 

@@ -54,12 +54,9 @@ use crate::index::RelationIndex;
 /// over-partitioning lets the stealing cursor balance skewed chunks.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// A per-atom row restriction for the delta ⊕-join passes of incremental
-/// maintenance (see [`crate::EvalSession`]): evaluating `Q(D ⊎ Δ)`
-/// incrementally pins one atom occurrence to exactly the delta tuple and
-/// restricts earlier/later atoms to the database states before/after it,
-/// expressed here as annotation filters over the final columnar view
-/// (annotations are in bijection with tuples — abstract tagging).
+/// A per-atom row restriction of a [`DeltaPass`], expressed as an
+/// annotation filter over the final columnar view (annotations are in
+/// bijection with tuples — abstract tagging).
 #[derive(Clone, Debug, Default)]
 pub(crate) enum RowRestrict {
     /// No restriction: every row of the relation is a candidate.
@@ -79,6 +76,32 @@ impl RowRestrict {
             RowRestrict::All => true,
             RowRestrict::Exactly(only) => a == *only,
             RowRestrict::Exclude(set) => set.binary_search(&a).is_err(),
+        }
+    }
+}
+
+/// One delta ⊕-join pass of incremental maintenance (see
+/// [`crate::EvalSession`]): evaluating `Q(D ⊎ Δ)` incrementally pins atom
+/// `pinned` to exactly the delta row tagged `row` and restricts the atoms
+/// before/after it to the database states before/after that row arrived.
+pub(crate) struct DeltaPass<'a> {
+    /// The atom index matched against the delta row alone.
+    pub(crate) pinned: usize,
+    /// The delta row's annotation.
+    pub(crate) row: Annotation,
+    /// The restriction of every atom written before `pinned`.
+    pub(crate) before: &'a RowRestrict,
+    /// The restriction of every atom written after `pinned`.
+    pub(crate) after: &'a RowRestrict,
+}
+
+impl DeltaPass<'_> {
+    /// The row restriction of atom `atom`.
+    fn restrict(&self, atom: usize) -> RowRestrict {
+        match atom.cmp(&self.pinned) {
+            std::cmp::Ordering::Less => self.before.clone(),
+            std::cmp::Ordering::Equal => RowRestrict::Exactly(self.row),
+            std::cmp::Ordering::Greater => self.after.clone(),
         }
     }
 }
@@ -159,12 +182,11 @@ impl Block {
 }
 
 /// Compiles the planned atom order into extension steps plus the head
-/// fetch plan. `order` must be a permutation of the query's atom indices;
-/// `restricts`, when given, is indexed by *atom index* (not plan position).
+/// fetch plan. `order` must be a permutation of the query's atom indices.
 fn build_plans(
     q: &ConjunctiveQuery,
     order: &[usize],
-    restricts: Option<&[RowRestrict]>,
+    delta: Option<&DeltaPass<'_>>,
 ) -> (Vec<AtomPlan>, Vec<Fetch>) {
     let mut col_of: std::collections::BTreeMap<Variable, usize> = std::collections::BTreeMap::new();
     let mut scheduled = vec![false; q.diseqs().len()];
@@ -173,7 +195,7 @@ fn build_plans(
         let atom = &q.atoms()[ai];
         let mut plan = AtomPlan {
             rel: atom.relation,
-            restrict: restricts.map_or(RowRestrict::All, |r| r[ai].clone()),
+            restrict: delta.map_or(RowRestrict::All, |d| d.restrict(ai)),
             const_checks: Vec::new(),
             bound_checks: Vec::new(),
             self_checks: Vec::new(),
@@ -448,16 +470,16 @@ fn emit_block(block: &Block, head: &[Fetch], result: &mut AnnotatedResult) {
 
 /// Evaluates `q` over `db` through the columnar batched pipeline. Every
 /// evaluation outside the test oracle lands here: full evaluations pass
-/// `restricts: None`; the delta ⊕-join passes of [`crate::EvalSession`]
-/// pass a per-atom row restriction that pins one atom to the
-/// freshly-inserted row and windows the others.
+/// `delta: None`; the delta ⊕-join passes of [`crate::EvalSession`] pass
+/// the [`DeltaPass`] that pins one atom to the freshly-inserted row and
+/// windows the others.
 pub(crate) fn eval_cq_batched_restricted(
     q: &ConjunctiveQuery,
     db: &Database,
     options: EvalOptions,
     views: &EvalViews,
     cache: &IndexCache,
-    restricts: Option<&[RowRestrict]>,
+    delta: Option<&DeltaPass<'_>>,
 ) -> AnnotatedResult {
     // `ConjunctiveQuery::new` rejects an empty body, so `plans[0]` exists.
     let mut result = AnnotatedResult::default();
@@ -468,32 +490,13 @@ pub(crate) fn eval_cq_batched_restricted(
             _ => return result,
         }
     }
-    // Delta passes must stay O(|Δ| · index probes), so two deviations
-    // from the cold path (both correctness-neutral — any atom permutation
-    // enumerates exactly the Def 2.6 assignments):
-    //
-    // * plan with the *syntactic* planner: the cost-based one scans the
-    //   database for per-column cardinalities, an O(|D|) pass that would
-    //   dominate a single-tuple delta;
-    // * drive the join from the pinned atom: its candidate set is one
-    //   row, so every later atom extends a one-assignment block through
-    //   index probes instead of starting from a full-relation scan.
-    let mut order = match restricts {
-        Some(_) => crate::planner::PlannerKind::Syntactic.order(q, db),
-        None => options.planner.order(q, db),
-    };
-    if let Some(restricts) = restricts {
-        if let Some(pinned) = order
-            .iter()
-            .position(|&ai| matches!(restricts[ai], RowRestrict::Exactly(_)))
-        {
-            let ai = order.remove(pinned);
-            order.insert(0, ai);
-        }
-    }
-    let (plans, head) = build_plans(q, &order, restricts);
-    let columnar = views.columnar(db);
+    // A delta pass drives the join from its pinned atom: that candidate
+    // set is one row, so every later atom extends a one-assignment block
+    // through index probes and the pass stays O(|Δ| · index probes).
     let index = views.database_index(db);
+    let order = crate::planner::plan(q, index, delta.map(|d| d.pinned));
+    let (plans, head) = build_plans(q, &order, delta);
+    let columnar = views.columnar(db);
     let rels: Vec<&ColumnarRelation> = plans
         .iter()
         .map(|p| columnar.relation(p.rel).expect("relation validated above"))
@@ -614,7 +617,6 @@ mod tests {
                 EvalOptions::default(),
                 EvalOptions::default().with_parallelism(3),
                 EvalOptions::default().with_chunk_rows(1),
-                EvalOptions::syntactic(),
             ] {
                 assert_eq!(
                     eval_cq_with(&q, &db, options),

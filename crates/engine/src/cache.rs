@@ -323,6 +323,19 @@ mod tests {
         let patched_ix = patched.database_index(&db).relation(rel).unwrap();
         let fresh_ix = fresh.database_index(&db).relation(rel).unwrap();
         assert_eq!(patched_ix.len(), fresh_ix.len());
+        // The insert brought new values ("c" at 0, "d" at 1); the remove
+        // took the last "a" at 0 and "b" at 1. The planner's statistics
+        // must match a fresh build all the same.
+        assert!(patched_ix
+            .matching(0, prov_storage::Value::new("a"))
+            .is_empty());
+        for pos in 0..patched_col.arity() {
+            assert_eq!(
+                patched_ix.distinct(pos),
+                fresh_ix.distinct(pos),
+                "position {pos}"
+            );
+        }
         for row in 0..patched_col.len() {
             for pos in 0..patched_col.arity() {
                 let v = patched_col.value(row, pos);

@@ -2,9 +2,9 @@
 //! `P(t, Q, D) = Σ_{σ ∈ A(t,Q,D)} Π_{Ri ∈ body(Q)} P(σ(Ri))`.
 //!
 //! One evaluator computes this sum: the columnar batched pipeline of
-//! `crate::batch`. [`EvalOptions`] choose its join planner, worker-thread
-//! count and frontier chunk size; every choice enumerates exactly the
-//! assignments of Def 2.6, so provenance is identical. The paper-literal
+//! `crate::batch`. [`EvalOptions`] choose its worker-thread count and
+//! frontier chunk size; every choice enumerates exactly the assignments
+//! of Def 2.6, so provenance is identical. The paper-literal
 //! enumeration ([`crate::assignments`], [`crate::eval_cq_naive`]) is the
 //! differential test oracle, not an option here.
 
@@ -15,7 +15,6 @@ use prov_semiring::{Annotation, CommutativeSemiring, Polynomial};
 use prov_storage::{Database, Tuple, Valuation, Value};
 
 use crate::cache::IndexCache;
-use crate::planner::PlannerKind;
 
 /// The annotated result of a query: each output tuple with its provenance
 /// polynomial. Boolean queries produce (at most) the empty tuple.
@@ -171,8 +170,6 @@ pub const MAX_THREADS: usize = 64;
 /// Evaluation strategy knobs. None of them changes a result.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EvalOptions {
-    /// Which planner orders the query's atoms.
-    pub planner: PlannerKind,
     /// Number of worker threads the first atom's frontier is split
     /// across. `None` or `Some(0|1)` evaluates sequentially (the default).
     pub parallelism: Option<usize>,
@@ -191,7 +188,6 @@ pub struct EvalOptions {
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
-            planner: PlannerKind::CostBased,
             parallelism: None,
             chunk_rows: Some(DEFAULT_CHUNK_ROWS),
         }
@@ -199,19 +195,6 @@ impl Default for EvalOptions {
 }
 
 impl EvalOptions {
-    /// The default options under the syntactic most-bound-first planner.
-    pub fn syntactic() -> Self {
-        EvalOptions {
-            planner: PlannerKind::Syntactic,
-            ..EvalOptions::default()
-        }
-    }
-
-    /// This strategy with the given planner.
-    pub fn with_planner(self, planner: PlannerKind) -> Self {
-        EvalOptions { planner, ..self }
-    }
-
     /// This strategy evaluated on `threads` worker threads.
     pub fn with_parallelism(self, threads: usize) -> Self {
         EvalOptions {
@@ -458,7 +441,6 @@ mod tests {
             let naive = crate::eval_cq_naive(&q, &db);
             for options in [
                 EvalOptions::default(),
-                EvalOptions::syntactic(),
                 EvalOptions::default().with_parallelism(2),
                 EvalOptions::default().with_parallelism(4),
             ] {

@@ -16,21 +16,23 @@ use std::collections::HashMap;
 
 use prov_storage::{Database, RelName, Relation, Value};
 
-/// An index over one relation: `posting[(position, value)]` lists the row
-/// indices whose tuple has `value` at `position`.
+/// An index over one relation: `posting[position][value]` lists the row
+/// indices whose tuple has `value` at `position`. The per-position maps
+/// double as the join planner's statistics: a position's distinct-value
+/// count is its map's size, exact after every append and removal.
 #[derive(Clone, Debug, Default)]
 pub struct RelationIndex {
     len: usize,
-    posting: HashMap<(usize, Value), Vec<u32>>,
+    posting: Vec<HashMap<Value, Vec<u32>>>,
 }
 
 impl RelationIndex {
     /// Builds the index for `relation`.
     pub fn build(relation: &Relation) -> Self {
-        let mut posting: HashMap<(usize, Value), Vec<u32>> = HashMap::new();
+        let mut posting: Vec<HashMap<Value, Vec<u32>>> = vec![HashMap::new(); relation.arity()];
         for (row, (tuple, _)) in relation.iter().enumerate() {
-            for (pos, &value) in tuple.values().iter().enumerate() {
-                posting.entry((pos, value)).or_default().push(row as u32);
+            for (map, &value) in posting.iter_mut().zip(tuple.values()) {
+                map.entry(value).or_default().push(row as u32);
             }
         }
         RelationIndex {
@@ -49,10 +51,21 @@ impl RelationIndex {
         self.len == 0
     }
 
+    /// The indexed relation's arity (0 for an index no row reached yet).
+    pub fn arity(&self) -> usize {
+        self.posting.len()
+    }
+
+    /// Number of distinct values at `position` (0 past the arity).
+    pub fn distinct(&self, position: usize) -> usize {
+        self.posting.get(position).map_or(0, HashMap::len)
+    }
+
     /// Rows whose tuple has `value` at `position` (empty slice if none).
     pub fn matching(&self, position: usize, value: Value) -> &[u32] {
         self.posting
-            .get(&(position, value))
+            .get(position)
+            .and_then(|map| map.get(&value))
             .map_or(&[], Vec::as_slice)
     }
 
@@ -66,29 +79,36 @@ impl RelationIndex {
     }
 
     /// Appends one row (id = current length), mirroring a
-    /// [`Relation::insert`] — inserts append in row order.
+    /// [`Relation::insert`] — inserts append in row order. An index
+    /// created empty takes its arity from the first row.
     pub fn push_row(&mut self, values: &[Value]) {
+        if self.posting.is_empty() {
+            self.posting.resize_with(values.len(), HashMap::new);
+        }
         let row = self.len as u32;
-        for (pos, &value) in values.iter().enumerate() {
-            self.posting.entry((pos, value)).or_default().push(row);
+        for (map, &value) in self.posting.iter_mut().zip(values) {
+            map.entry(value).or_default().push(row);
         }
         self.len += 1;
     }
 
     /// Removes row `row`, shifting every later row id down by one — the
     /// same reindexing [`Relation::remove`] performs. Posting lists stay
-    /// sorted because they were sorted by construction.
+    /// sorted because they were sorted by construction; a value whose
+    /// last row goes is dropped from its map.
     pub fn remove_row(&mut self, row: usize) {
         let row = row as u32;
-        for posting in self.posting.values_mut() {
-            posting.retain(|&r| r != row);
-            for r in posting.iter_mut() {
-                if *r > row {
-                    *r -= 1;
+        for map in &mut self.posting {
+            for posting in map.values_mut() {
+                posting.retain(|&r| r != row);
+                for r in posting.iter_mut() {
+                    if *r > row {
+                        *r -= 1;
+                    }
                 }
             }
+            map.retain(|_, posting| !posting.is_empty());
         }
-        self.posting.retain(|_, posting| !posting.is_empty());
         self.len -= 1;
     }
 }
@@ -189,14 +209,29 @@ mod tests {
         // Remove the middle row (row id 1 = ("a","c")): later ids shift.
         db.remove(RelName::new("R"), &Tuple::of(&["a", "c"]));
         idx.remove_row(RelName::new("R"), 1);
+        // Then ("a","b"), the last row carrying "a" at 0 and "b" at 1.
+        db.remove(RelName::new("R"), &Tuple::of(&["a", "b"]));
+        idx.remove_row(RelName::new("R"), 0);
         db.add("S", &["q"], "ix5");
         idx.push_row(RelName::new("S"), &[Value::new("q")]);
 
         let rebuilt = DatabaseIndex::build(&db);
+        let r = idx.relation(RelName::new("R")).unwrap();
+        assert!(r.matching(0, Value::new("a")).is_empty());
+        assert_eq!((r.distinct(0), r.distinct(1)), (2, 2));
         for relation in db.relations() {
             let patched = idx.relation(relation.name()).unwrap();
             let fresh = rebuilt.relation(relation.name()).unwrap();
             assert_eq!(patched.len(), fresh.len());
+            assert_eq!(patched.arity(), fresh.arity());
+            for pos in 0..=relation.arity() {
+                assert_eq!(
+                    patched.distinct(pos),
+                    fresh.distinct(pos),
+                    "distinct count at {pos} diverges for {}",
+                    relation.name()
+                );
+            }
             for (row, (tuple, _)) in relation.iter().enumerate() {
                 for (pos, &value) in tuple.values().iter().enumerate() {
                     assert_eq!(

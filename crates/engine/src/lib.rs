@@ -23,5 +23,4 @@ pub use eval::{
     DEFAULT_CHUNK_ROWS, MAX_THREADS,
 };
 pub use index::{DatabaseIndex, RelationIndex};
-pub use planner::PlannerKind;
 pub use session::{EvalSession, MutationCachePath, MutationOutcome, SessionStats};

@@ -40,7 +40,7 @@ use prov_query::{ConjunctiveQuery, UnionQuery};
 use prov_semiring::Annotation;
 use prov_storage::{Database, DeltaEvent, DeltaKind, RelName, Tuple};
 
-use crate::batch::{eval_cq_batched_restricted, RowRestrict};
+use crate::batch::{eval_cq_batched_restricted, DeltaPass, RowRestrict};
 use crate::cache::{CacheStats, IndexCache};
 use crate::eval::{eval_cq_via_cache, AnnotatedResult, EvalOptions};
 
@@ -417,20 +417,19 @@ fn apply_deltas(
                 if atom.relation != event.rel || atom.arity() != event.tuple.arity() {
                     continue;
                 }
-                let restricts: Vec<RowRestrict> = (0..adj.atoms().len())
-                    .map(|k| match k.cmp(&j) {
-                        std::cmp::Ordering::Less => exclude_from.clone(),
-                        std::cmp::Ordering::Equal => RowRestrict::Exactly(event.annotation),
-                        std::cmp::Ordering::Greater => exclude_after.clone(),
-                    })
-                    .collect();
+                let pass = DeltaPass {
+                    pinned: j,
+                    row: event.annotation,
+                    before: &exclude_from,
+                    after: &exclude_after,
+                };
                 result.merge(eval_cq_batched_restricted(
                     adj,
                     db,
                     options,
                     &eval_views,
                     views,
-                    Some(&restricts),
+                    Some(&pass),
                 ));
             }
         }

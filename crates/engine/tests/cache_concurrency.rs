@@ -59,7 +59,7 @@ fn readers_never_see_stale_results_and_reconcile_once() {
                 let options = if reader % 2 == 0 {
                     EvalOptions::default()
                 } else {
-                    EvalOptions::syntactic()
+                    EvalOptions::default()
                         .with_parallelism(2)
                         .with_chunk_rows(1)
                 };

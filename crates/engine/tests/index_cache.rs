@@ -106,7 +106,6 @@ fn session_results_equal_uncached_across_strategies() {
         let q = parse_cq(text).unwrap();
         for options in [
             EvalOptions::default(),
-            EvalOptions::syntactic(),
             EvalOptions::default().with_parallelism(4),
             EvalOptions::default()
                 .with_parallelism(4)

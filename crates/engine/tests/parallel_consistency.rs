@@ -1,5 +1,5 @@
 //! Property: every configuration of the batched evaluator — sequential or
-//! chunk-parallel, under either planner, at any chunk size — is
+//! chunk-parallel, at any chunk size — is
 //! *identical* (same tuples, same provenance polynomials, same
 //! coefficients) to the paper-literal Def 2.6 oracle, on random CQ≠
 //! queries and random databases. This is the ⊕-merge correctness argument
@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use prov_engine::{
     eval_cq_naive, eval_cq_with, eval_ucq_naive, eval_ucq_with, EvalOptions, EvalSession,
-    PlannerKind, DEFAULT_CHUNK_ROWS,
+    DEFAULT_CHUNK_ROWS,
 };
 use prov_query::generate::{random_cq, QuerySpec};
 use prov_storage::generator::{random_database, DatabaseSpec};
@@ -37,31 +37,26 @@ proptest! {
         let q = random_cq(&spec, query_seed);
         let db = random_database(&DatabaseSpec::single_binary(24, 5), db_seed);
         let reference = eval_cq_naive(&q, &db);
-        for planner in [PlannerKind::Syntactic, PlannerKind::CostBased] {
-            for threads in [1usize, 4] {
-                // 1 and 7 force the re-chunking recursion constantly; 64Ki
-                // is the default; None is the unbounded behaviour.
-                for chunk in [Some(1), Some(7), Some(64 * 1024), None] {
-                    let mut options = EvalOptions::default()
-                        .with_planner(planner)
-                        .with_parallelism(threads);
-                    options = match chunk {
-                        Some(rows) => options.with_chunk_rows(rows),
-                        None => options.unchunked(),
-                    };
-                    let result = eval_cq_with(&q, &db, options);
-                    prop_assert_eq!(
-                        &result,
-                        &reference,
-                        "{:?} × {} threads × chunk {:?} diverges on {} (query seed {}, db seed {})",
-                        planner,
-                        threads,
-                        chunk,
-                        q,
-                        query_seed,
-                        db_seed
-                    );
-                }
+        for threads in [1usize, 4] {
+            // 1 and 7 force the re-chunking recursion constantly; 64Ki
+            // is the default; None is the unbounded behaviour.
+            for chunk in [Some(1), Some(7), Some(64 * 1024), None] {
+                let mut options = EvalOptions::default().with_parallelism(threads);
+                options = match chunk {
+                    Some(rows) => options.with_chunk_rows(rows),
+                    None => options.unchunked(),
+                };
+                let result = eval_cq_with(&q, &db, options);
+                prop_assert_eq!(
+                    &result,
+                    &reference,
+                    "{} threads × chunk {:?} diverges on {} (query seed {}, db seed {})",
+                    threads,
+                    chunk,
+                    q,
+                    query_seed,
+                    db_seed
+                );
             }
         }
     }
@@ -111,26 +106,22 @@ proptest! {
         let sampler = Sampler::named(name).expect(name);
         let scenario = sampler.scenario(seed, case);
         let reference = eval_ucq_naive(&scenario.query, &scenario.database);
-        for planner in [PlannerKind::Syntactic, PlannerKind::CostBased] {
-            for threads in [1usize, 4] {
-                // 0 = unchunked.
-                for chunk in [1usize, DEFAULT_CHUNK_ROWS, 0] {
-                    let options = EvalOptions::default()
-                        .with_planner(planner)
-                        .with_parallelism(threads)
-                        .with_chunk_rows(chunk);
-                    let result = eval_ucq_with(&scenario.query, &scenario.database, options);
-                    prop_assert_eq!(
-                        &result,
-                        &reference,
-                        "{:?} × {} threads × chunk {} diverges on {} ({})",
-                        planner,
-                        threads,
-                        chunk,
-                        &scenario.query,
-                        scenario.replay()
-                    );
-                }
+        for threads in [1usize, 4] {
+            // 0 = unchunked.
+            for chunk in [1usize, DEFAULT_CHUNK_ROWS, 0] {
+                let options = EvalOptions::default()
+                    .with_parallelism(threads)
+                    .with_chunk_rows(chunk);
+                let result = eval_ucq_with(&scenario.query, &scenario.database, options);
+                prop_assert_eq!(
+                    &result,
+                    &reference,
+                    "{} threads × chunk {} diverges on {} ({})",
+                    threads,
+                    chunk,
+                    &scenario.query,
+                    scenario.replay()
+                );
             }
         }
     }

@@ -64,8 +64,8 @@ proptest! {
         let sessions: Vec<EvalSession> = [
             EvalOptions::default(),
             EvalOptions::default().with_parallelism(4),
-            EvalOptions::syntactic().with_chunk_rows(1),
-            EvalOptions::syntactic().with_parallelism(4).with_chunk_rows(7),
+            EvalOptions::default().with_chunk_rows(1),
+            EvalOptions::default().with_parallelism(4).with_chunk_rows(7),
         ]
         .into_iter()
         .map(EvalSession::with_options)

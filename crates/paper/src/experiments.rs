@@ -10,7 +10,7 @@ use prov_core::minprov::{minprov_cq, minprov_trace};
 use prov_core::order::compare_on;
 use prov_core::pminimal::table_1;
 use prov_core::standard::minimize_cq;
-use prov_engine::{eval_cq, eval_ucq, eval_ucq_with, EvalOptions, PlannerKind};
+use prov_engine::{eval_cq, eval_ucq, eval_ucq_with, EvalOptions};
 use prov_query::canonical::{bell_number, canonical_rewriting};
 use prov_query::containment::{cq_equivalent, equivalent};
 use prov_query::generate::qn_family;
@@ -503,7 +503,7 @@ pub fn x2_algebra_extension() -> ExperimentReport {
 }
 
 /// X3 — engine scaling extension: the batched pipeline's chunk-parallel
-/// mode and both planners reproduce Def 2.12's provenance *exactly*. The
+/// mode reproduces Def 2.12's provenance *exactly*. The
 /// merge of per-thread partial results is the semiring ⊕, which is
 /// commutative and associative, so chunk completion order cannot change
 /// the output.
@@ -517,16 +517,15 @@ pub fn x3_parallel_eval() -> ExperimentReport {
     let qunion = fig1_qunion();
     let reference = eval_ucq(&qunion, &db);
     for threads in [2usize, 4] {
-        for planner in [PlannerKind::Syntactic, PlannerKind::CostBased] {
-            let options = EvalOptions::default()
-                .with_planner(planner)
-                .with_parallelism(threads);
-            let parallel = eval_ucq_with(&qunion, &db, options);
-            r.check(
-                parallel == reference,
-                &format!("Qunion on Table 2: {threads} threads × {planner:?} = sequential"),
-            );
-        }
+        let parallel = eval_ucq_with(
+            &qunion,
+            &db,
+            EvalOptions::default().with_parallelism(threads),
+        );
+        r.check(
+            parallel == reference,
+            &format!("Qunion on Table 2: {threads} threads = sequential"),
+        );
     }
     // A larger synthetic instance, where the chunks actually spread work.
     let big = random_database(&DatabaseSpec::single_binary(300, 20), 17);

@@ -7,13 +7,13 @@
 use std::time::Duration;
 
 use prov_core::minimize::{MinimizeOptions, Strategy};
-use prov_engine::{EvalOptions, PlannerKind, MAX_THREADS};
+use prov_engine::{EvalOptions, MAX_THREADS};
 
 use crate::json::Json;
 
 /// Reads `/eval` strategy fields from the request body: `threads` (1 ..=
-/// [`MAX_THREADS`]), `planner` (`"syntactic"`, `"cost"`), `chunk_rows`
-/// (frontier chunk size for the batched pipeline; 0 disables chunking).
+/// [`MAX_THREADS`]) and `chunk_rows` (frontier chunk size for the batched
+/// pipeline; 0 disables chunking).
 /// Unknown fields are ignored so clients can round-trip stats blobs.
 pub fn eval_options(body: &Json) -> Result<EvalOptions, String> {
     let mut options = EvalOptions::default();
@@ -26,14 +26,6 @@ pub fn eval_options(body: &Json) -> Result<EvalOptions, String> {
             return Err(format!("\"threads\" must be at most {MAX_THREADS}"));
         }
         options = options.with_parallelism(n as usize);
-    }
-    if let Some(planner) = body.get("planner") {
-        let kind = match planner.as_str().ok_or("\"planner\" must be a string")? {
-            "syntactic" => PlannerKind::Syntactic,
-            "cost" => PlannerKind::CostBased,
-            other => return Err(format!("unknown planner {other:?} (syntactic|cost)")),
-        };
-        options = options.with_planner(kind);
     }
     if let Some(rows) = body.get("chunk_rows") {
         let n = rows.as_u64().ok_or("\"chunk_rows\" must be an integer")?;
@@ -94,19 +86,26 @@ mod tests {
     fn eval_defaults_and_overrides() {
         let defaults = eval_options(&obj("{}")).expect("defaults");
         assert_eq!(defaults, EvalOptions::default());
-        let opts = eval_options(&obj(r#"{"threads":4,"planner":"syntactic"}"#)).expect("parses");
-        assert_eq!(opts, EvalOptions::syntactic().with_parallelism(4));
+        let opts = eval_options(&obj(r#"{"threads":4}"#)).expect("parses");
+        assert_eq!(opts, EvalOptions::default().with_parallelism(4));
         assert!(eval_options(&obj(r#"{"threads":0}"#)).is_err());
         assert!(eval_options(&obj(r#"{"threads":64}"#)).is_ok());
         assert!(eval_options(&obj(r#"{"threads":65}"#)).is_err());
-        assert!(eval_options(&obj(r#"{"planner":"best"}"#)).is_err());
-        assert!(eval_options(&obj(r#"{"planner":"written"}"#)).is_err());
-        // `mode` selected an evaluator that no longer exists; like any
-        // unknown field it is ignored.
-        assert_eq!(
-            eval_options(&obj(r#"{"mode":"tuple"}"#)).expect("parses"),
-            EvalOptions::default()
-        );
+        // `mode` selected an evaluator and `planner` a join planner, and
+        // neither choice exists any more; like any unknown field they are
+        // ignored, whatever their value.
+        for body in [
+            r#"{"mode":"tuple"}"#,
+            r#"{"planner":"syntactic"}"#,
+            r#"{"planner":"written"}"#,
+            r#"{"planner":7}"#,
+        ] {
+            assert_eq!(
+                eval_options(&obj(body)).expect("parses"),
+                EvalOptions::default(),
+                "{body}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! |---|---|---|
 //! | `POST /load` | database text (or `{"db": text}`) | replace the loaded database |
 //! | `POST /mutate` | `{"insert": [lines], "remove": [lines]}` | apply tuple-level mutations |
-//! | `POST /eval` | `{"query", "threads"?, "planner"?, "chunk_rows"?}` | annotated evaluation |
+//! | `POST /eval` | `{"query", "threads"?, "chunk_rows"?}` | annotated evaluation |
 //! | `POST /minimize` | `{"query", "strategy"?, "budget_steps"?, "budget_ms"?, "memo"?}` | (budgeted) minimization |
 //! | `GET /stats` | — | cache/generation/latency counters |
 //! | `POST /shutdown` | — | request graceful shutdown |

@@ -224,25 +224,26 @@ fn malformed_requests_do_not_wedge_the_server() {
 fn removed_evaluator_knobs_on_the_wire() {
     let (handle, addr) = start(TABLE_2);
     let query = "ans(x) :- R(x,y), R(y,x)";
-    // The written-order planner is gone: an unknown planner is a 400.
-    let (status, _) = client::post_json(
-        &addr,
-        "/eval",
-        &format!(r#"{{"query": "{query}", "planner": "written"}}"#),
-    )
-    .expect("round trip");
-    assert_eq!(status, 400);
-    // `mode` selected an evaluator that is gone too; it is now an
-    // ignored unknown field, answered like the same request without it.
+    // `mode` selected an evaluator and `planner` a join planner; both
+    // choices are gone, so the fields are ignored unknown fields,
+    // answered like the same request without them.
     let results = |body: &str| {
         let (status, response) = client::post_json(&addr, "/eval", body).expect("round trip");
         assert_eq!(status, 200, "{body}");
         json(&response).get("results").cloned().expect("results")
     };
-    assert_eq!(
-        results(&format!(r#"{{"query": "{query}", "mode": "tuple"}}"#)),
-        results(&format!(r#"{{"query": "{query}"}}"#))
-    );
+    let plain = results(&format!(r#"{{"query": "{query}"}}"#));
+    for field in [
+        r#""mode": "tuple""#,
+        r#""planner": "syntactic""#,
+        r#""planner": "written""#,
+    ] {
+        assert_eq!(
+            results(&format!(r#"{{"query": "{query}", {field}}}"#)),
+            plain,
+            "{field}"
+        );
+    }
     handle.shutdown();
 }
 

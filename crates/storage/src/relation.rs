@@ -97,22 +97,6 @@ impl Relation {
         &self.rows[i]
     }
 
-    /// Number of distinct values at column `position` — the per-position
-    /// cardinality statistic driving cost-based join planning. Returns 0
-    /// for an empty relation; panics if `position` is out of range.
-    pub fn column_cardinality(&self, position: usize) -> usize {
-        assert!(
-            position < self.arity,
-            "position {position} out of range for arity {}",
-            self.arity
-        );
-        self.rows
-            .iter()
-            .map(|(t, _)| t.get(position))
-            .collect::<std::collections::HashSet<_>>()
-            .len()
-    }
-
     /// Removes `tuple`, returning its annotation (for deletion-propagation
     /// scenarios).
     pub fn remove(&mut self, tuple: &Tuple) -> Option<Annotation> {

@@ -18,7 +18,7 @@
 //!   scenario is reproducible from a printed `(spec, seed, case)` triple.
 //!
 //! Three consumers drive from one spec: `provmin fuzz` (differential
-//! checking of every planner × thread count × chunk size and every
+//! checking of every thread count × chunk size and every
 //! minimize strategy), the soak suites in `crates/engine/tests`, and the
 //! `workload_shapes/*` rows of `docs/BENCH_BASELINE.json`. See
 //! `docs/FUZZING.md`.

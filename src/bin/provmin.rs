@@ -20,7 +20,6 @@
 //! * `--threads N` — split the first atom's frontier across up to `N`
 //!   worker threads, at most 64 (⊕ is commutative, so the merged result
 //!   equals the sequential one).
-//! * `--planner syntactic|cost` — join planner (default `cost`).
 //! * `--chunk-rows N` — frontier chunk size of the batched pipeline
 //!   (default 65536, `0` = unchunked): bounds peak evaluation memory at
 //!   O(chunk × one step's fan-out) with bit-identical results (see the
@@ -66,8 +65,8 @@
 //! a torn tail), and — unless `--check` — compacts the directory into a
 //! fresh snapshot with an empty WAL.
 //!
-//! `fuzz` differentially checks DSL-generated scenarios (every planner ×
-//! thread count × chunk size bit-identical to the Def 2.6 oracle,
+//! `fuzz` differentially checks DSL-generated scenarios (every thread
+//! count × chunk size bit-identical to the Def 2.6 oracle,
 //! semiring specialization consistent, every eligible minimize strategy
 //! equivalent with sound budgeted partials). Exit codes: 0 = all cases agree, 1 = divergence
 //! (the reproducing `(spec, seed, case)` triple is printed), 2 = flag
@@ -84,7 +83,7 @@ use std::sync::atomic::{AtomicI32, Ordering};
 
 use provmin::core::minimize::{minimize_with, MinimizeOptions, MinimizeOutcome, Strategy};
 use provmin::datalog::{core_query, evaluate, Program};
-use provmin::engine::{EvalOptions, EvalSession, PlannerKind, MAX_THREADS};
+use provmin::engine::{EvalOptions, EvalSession, MAX_THREADS};
 use provmin::prelude::*;
 use provmin::storage::textio::parse_database;
 
@@ -93,9 +92,9 @@ const EXIT_BUDGET_EXHAUSTED: u8 = 3;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  provmin eval [--threads N] [--planner syntactic|cost] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
+        "usage:\n  provmin eval [--threads N] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
          provmin minimize [--strategy minprov|auto|standard|dedup] [--budget-steps N] [--budget-ms N] [--no-memo] '<query>'\n  \
-         provmin core [--threads N] [--planner KIND] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
+         provmin core [--threads N] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
          provmin trace '<query>'\n  \
          provmin datalog <db-file> <program-file> <predicate>\n  \
          provmin serve [--addr HOST:PORT] [--workers N] [--db FILE] [--max-conns N] [--keepalive-timeout SECS]\n  \
@@ -106,7 +105,7 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Extracts `--threads`/`--planner`/`--chunk-rows`/`--cache-stats` flags from
+/// Extracts `--threads`/`--chunk-rows`/`--cache-stats` flags from
 /// the argument list, returning the remaining positional arguments, the
 /// resulting options, whether cache stats were requested, and whether any
 /// flag was present (only `eval`/`core` accept them).
@@ -132,15 +131,6 @@ fn parse_eval_flags(args: &[String]) -> Result<(Vec<String>, EvalOptions, bool, 
                     return Err(format!("--threads must be at most {MAX_THREADS}"));
                 }
                 options = options.with_parallelism(n);
-            }
-            "--planner" => {
-                flags_used = true;
-                let kind = match it.next().ok_or("--planner needs a value")?.as_str() {
-                    "syntactic" => PlannerKind::Syntactic,
-                    "cost" => PlannerKind::CostBased,
-                    other => return Err(format!("unknown planner {other}")),
-                };
-                options = options.with_planner(kind);
             }
             "--chunk-rows" => {
                 flags_used = true;
@@ -246,9 +236,7 @@ fn main() -> ExitCode {
         }
     };
     if eval_flags_used && !matches!(args.first().map(String::as_str), Some("eval" | "core")) {
-        eprintln!(
-            "error: --threads/--planner/--chunk-rows/--cache-stats only apply to eval and core"
-        );
+        eprintln!("error: --threads/--chunk-rows/--cache-stats only apply to eval and core");
         return usage();
     }
     let (args, minimize_options, minimize_flags_used) = if subcommand_owns_flags {

@@ -4,9 +4,9 @@
 //! every axis the engine and minimizer expose; a divergence anywhere is
 //! a bug in exactly the guarantees the source paper proves:
 //!
-//! * **Evaluation** — `{1, 4 threads} × {cost-based, syntactic planners}
-//!   × {chunk 1, default chunk, unchunked}` (`--chunk-rows` replaces the
-//!   chunk axis) must be bit-identical to the paper-literal Def 2.6 oracle
+//! * **Evaluation** — `{1, 4 threads} × {chunk 1, default chunk,
+//!   unchunked}` (`--chunk-rows` replaces the chunk axis) must be
+//!   bit-identical to the paper-literal Def 2.6 oracle
 //!   [`eval_ucq_naive`] (Def 2.6/2.12: every configuration enumerates the
 //!   same assignments; ⊕-merge order is immaterial — chunked
 //!   accumulation is just another regrouping of ⊕). Each configuration
@@ -33,9 +33,7 @@
 use std::collections::BTreeMap;
 
 use prov_core::minimize::{minimize_with, Budget, MinimizeOptions, MinimizeOutcome, Strategy};
-use prov_engine::{
-    eval_in_semiring, eval_ucq_naive, EvalOptions, EvalSession, PlannerKind, DEFAULT_CHUNK_ROWS,
-};
+use prov_engine::{eval_in_semiring, eval_ucq_naive, EvalOptions, EvalSession, DEFAULT_CHUNK_ROWS};
 use prov_query::containment::equivalent;
 use prov_query::ConjunctiveQuery;
 use prov_semiring::order::poly_leq;
@@ -104,11 +102,11 @@ pub enum FuzzVerdict {
 }
 
 /// The differential evaluation configurations (the oracle runs
-/// separately): `{1, 4 threads} × {cost, syntactic} × {chunk 1, default
-/// chunk, unchunked}` = 12 configs. Chunk 1 maximally exercises the
-/// re-chunking recursion; unchunked materializes every full frontier. A
-/// `chunk_override` of `Some(n)` replaces the chunk axis with `n` alone
-/// (0 = unchunked), leaving 4 configs.
+/// separately): `{1, 4 threads} × {chunk 1, default chunk, unchunked}` =
+/// 6 configs. Chunk 1 maximally exercises the re-chunking recursion;
+/// unchunked materializes every full frontier. A `chunk_override` of
+/// `Some(n)` replaces the chunk axis with `n` alone (0 = unchunked),
+/// leaving 2 configs.
 fn eval_configs(chunk_override: Option<usize>) -> Vec<(String, EvalOptions)> {
     let chunk_axis = match chunk_override {
         Some(rows) => vec![rows],
@@ -116,18 +114,12 @@ fn eval_configs(chunk_override: Option<usize>) -> Vec<(String, EvalOptions)> {
     };
     let mut configs = Vec::new();
     for threads in [1usize, 4] {
-        for (planner_name, planner) in [
-            ("cost", PlannerKind::CostBased),
-            ("syntactic", PlannerKind::Syntactic),
-        ] {
-            for &rows in &chunk_axis {
-                // `with_chunk_rows(0)` is unchunked.
-                let options = EvalOptions::default()
-                    .with_planner(planner)
-                    .with_parallelism(threads)
-                    .with_chunk_rows(rows);
-                configs.push((format!("{planner_name}/t{threads}/chunk{rows}"), options));
-            }
+        for &rows in &chunk_axis {
+            // `with_chunk_rows(0)` is unchunked.
+            let options = EvalOptions::default()
+                .with_parallelism(threads)
+                .with_chunk_rows(rows);
+            configs.push((format!("t{threads}/chunk{rows}"), options));
         }
     }
     configs
@@ -422,7 +414,7 @@ mod tests {
                     eval_configs,
                 } => {
                     assert_eq!(cases, 6);
-                    assert_eq!(eval_configs, 12);
+                    assert_eq!(eval_configs, 6);
                 }
                 FuzzVerdict::Diverged(d) => {
                     panic!("unexpected divergence: {} — {}", d.replay, d.detail)
@@ -461,7 +453,7 @@ mod tests {
     #[test]
     fn chunk_override_replaces_the_chunk_axis() {
         let configs = eval_configs(Some(3));
-        assert_eq!(configs.len(), 4);
+        assert_eq!(configs.len(), 2);
         assert!(configs.iter().all(|(_, o)| o.chunk_rows == Some(3)));
     }
 

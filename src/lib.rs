@@ -79,7 +79,7 @@ pub mod prelude {
     pub use prov_core::standard::{minimize_complete, minimize_cq, minimize_ucq};
     pub use prov_engine::{
         eval_cq, eval_cq_with, eval_in_semiring, eval_ucq, eval_ucq_with, AnnotatedResult,
-        EvalOptions, PlannerKind,
+        EvalOptions,
     };
     pub use prov_query::containment::{contained_in, cq_equivalent, equivalent};
     pub use prov_query::{

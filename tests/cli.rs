@@ -159,36 +159,27 @@ fn removed_evaluator_flags_are_usage_errors() {
     let eval = provmin(&["eval", db.path(), query]);
     assert_eq!(code(&eval), 0);
     assert!(stdout(&eval).contains("(a)"));
-    // One evaluator: the flags that chose among several are gone.
-    for flag in ["--tuple", "--batch"] {
-        assert_eq!(
-            code(&provmin(&["eval", flag, db.path(), query])),
-            2,
-            "{flag}"
-        );
+    // One evaluator and one planner: the flags that chose among several
+    // are gone.
+    for flags in [
+        &["--tuple"][..],
+        &["--batch"],
+        &["--planner", "cost"],
+        &["--planner", "syntactic"],
+        &["--planner", "written"],
+    ] {
+        let args: Vec<&str> = ["eval"]
+            .iter()
+            .chain(flags)
+            .chain(&[db.path(), query])
+            .copied()
+            .collect();
+        assert_eq!(code(&provmin(&args)), 2, "{flags:?}");
     }
-    assert_eq!(
-        code(&provmin(&[
-            "eval",
-            "--planner",
-            "written",
-            db.path(),
-            query
-        ])),
-        2
-    );
-    // The remaining knobs print identical results.
-    let planned = provmin(&[
-        "eval",
-        "--planner",
-        "syntactic",
-        "--chunk-rows",
-        "1",
-        db.path(),
-        query,
-    ]);
-    assert_eq!(code(&planned), 0);
-    assert_eq!(stdout(&planned), stdout(&eval));
+    // The remaining knob prints identical results.
+    let chunked = provmin(&["eval", "--chunk-rows", "1", db.path(), query]);
+    assert_eq!(code(&chunked), 0);
+    assert_eq!(stdout(&chunked), stdout(&eval));
 }
 
 #[test]
