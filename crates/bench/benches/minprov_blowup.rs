@@ -1,8 +1,7 @@
 //! B6 — MinProv runtime and output size on the Q_n family of
 //! Theorem 4.10: both are exponential in n, unavoidably — and the
-//! engine's mitigations measured against that cliff: canonical-form
-//! memoization (unbounded rows, memo on vs off) and step budgets
-//! (bounded rows returning sound partial results).
+//! engine's step budgets measured against that cliff (bounded rows
+//! returning sound partial results).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -20,24 +19,6 @@ fn bench_minprov(c: &mut Criterion) {
         let q = qn_family(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &q, |b, q| {
             b.iter(|| black_box(minprov_cq(q)))
-        });
-    }
-    group.finish();
-
-    // Unbounded, memoization off: the seed algorithm's shape (eager
-    // accumulation, quadratic offline prune, no canonical-form dedup).
-    let mut group = c.benchmark_group("minprov_unmemoized");
-    group.sample_size(10);
-    for &n in &[1usize, 2, 3] {
-        let q = UnionQuery::single(qn_family(n));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &q, |b, q| {
-            b.iter(|| {
-                black_box(
-                    minimize_with(q, MinimizeOptions::unmemoized())
-                        .expect("total")
-                        .into_query(),
-                )
-            })
         });
     }
     group.finish();

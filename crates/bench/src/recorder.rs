@@ -261,23 +261,20 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
         std::hint::black_box(minimize_complete(&complete));
     });
 
-    // B6 minprov_blowup — the Theorem 4.10 family, in the engine's three
-    // configurations: default (memoized), unmemoized (the seed path's
-    // shape), and budgeted (the serving configuration: bounded steps,
-    // sound partial result).
+    // B6 minprov_blowup — the Theorem 4.10 family: the engine unbounded
+    // (qn/2 is below the keying threshold, qn/3 is keyed), the literal
+    // Algorithm 1 it is checked against, and budgeted (the serving
+    // configuration: bounded steps, sound partial result).
     use prov_core::minimize::{minimize_with, Budget, MinimizeOptions};
+    use prov_core::minprov::minprov_trace;
     use prov_query::UnionQuery;
     let qn2 = qn_family(2);
     record("minprov_blowup/qn/2", &mut || {
         std::hint::black_box(minprov_cq(&qn2));
     });
     let qn2_union = UnionQuery::single(qn2.clone());
-    record("minprov_blowup/qn/2/unmemoized", &mut || {
-        std::hint::black_box(
-            minimize_with(&qn2_union, MinimizeOptions::unmemoized())
-                .expect("total")
-                .into_query(),
-        );
+    record("minprov_blowup/qn/2/literal", &mut || {
+        std::hint::black_box(minprov_trace(&qn2_union));
     });
     let qn3_union = UnionQuery::single(qn_family(3));
     record("minprov_blowup/qn/3/memo", &mut || {
@@ -287,12 +284,8 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
                 .into_query(),
         );
     });
-    record("minprov_blowup/qn/3/unmemoized", &mut || {
-        std::hint::black_box(
-            minimize_with(&qn3_union, MinimizeOptions::unmemoized())
-                .expect("total")
-                .into_query(),
-        );
+    record("minprov_blowup/qn/3/literal", &mut || {
+        std::hint::black_box(minprov_trace(&qn3_union));
     });
     // The serving configuration on a family whose full minimization takes
     // ~0.5 s: a 64-step budget returns a sound partial result in
@@ -718,7 +711,8 @@ mod tests {
         );
         // Minimization-engine variants present: unbounded vs budgeted
         // rows for the Theorem 4.10 blowup family.
-        assert!(ms.iter().any(|m| m.id == "minprov_blowup/qn/2/unmemoized"));
+        assert!(ms.iter().any(|m| m.id == "minprov_blowup/qn/2/literal"));
+        assert!(ms.iter().any(|m| m.id == "minprov_blowup/qn/3/literal"));
         assert!(ms.iter().any(|m| m.id == "minprov_blowup/qn/3/memo"));
         assert!(ms.iter().any(|m| m.id == "minprov_blowup/qn/4/budget64"));
         // Workload-DSL shape-family rows (the DSL PR's CI-visible

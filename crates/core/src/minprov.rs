@@ -22,10 +22,11 @@ use crate::standard::{minimize_complete_unchecked, prune_contained};
 
 /// The intermediate queries of a `MinProv` run (`Q_I`, `Q_II`, `Q_III` in
 /// paper §5's notation), for inspection, testing and the figure-3
-/// reproduction. The trace is deliberately *eager* — it exists to show the
-/// full intermediate unions of Algorithm 1; the production path
-/// ([`minprov`], via [`crate::minimize::Minimizer`]) streams and prunes
-/// instead and never materializes `Q_I`/`Q_II`.
+/// reproduction. The trace is deliberately *eager*: it is Algorithm 1
+/// read literally, and the differential oracle the engine's tests compare
+/// against. The production path ([`minprov`], via
+/// [`crate::minimize::Minimizer`]) streams, memoizes and prunes instead,
+/// and never materializes `Q_I`/`Q_II`.
 #[derive(Clone, Debug)]
 pub struct MinProvTrace {
     /// The input query.
@@ -36,6 +37,8 @@ pub struct MinProvTrace {
     pub minimized: UnionQuery,
     /// After step III: contained adjuncts removed — the p-minimal output.
     pub output: UnionQuery,
+    /// Containment checks step III ran (one homomorphism search each).
+    pub containment_checks: u64,
 }
 
 /// Runs `MinProv`, returning all intermediate queries.
@@ -56,7 +59,9 @@ pub fn minprov_trace(q: &UnionQuery) -> MinProvTrace {
     // Step III: remove adjuncts contained in other adjuncts. All adjuncts
     // are complete w.r.t. the same constant set, so containment Qj ⊆ Qi is
     // exactly the existence of a homomorphism Qi → Qj (Theorem 3.1).
+    let mut containment_checks = 0u64;
     let kept = prune_contained(minimized_adjuncts, |small, big| {
+        containment_checks += 1;
         find_homomorphism(big, small).is_some()
     });
     let output = UnionQuery::new(kept).expect("step III keeps at least one adjunct");
@@ -66,6 +71,7 @@ pub fn minprov_trace(q: &UnionQuery) -> MinProvTrace {
         canonical,
         minimized,
         output,
+        containment_checks,
     }
 }
 

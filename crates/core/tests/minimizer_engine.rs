@@ -1,13 +1,16 @@
 //! Property tests for the unified minimization engine: for random
 //! queries, the minimized output is equivalent to the input under every
-//! [`MinimizeOptions`] strategy, and budgeted `Partial` results are
-//! always sound (equivalent) and resume to the unbudgeted fixpoint.
+//! [`Strategy`], the `MinProv` output matches the literal Algorithm 1
+//! ([`minprov_trace`]) adjunct for adjunct up to isomorphism, and
+//! budgeted `Partial` results are always sound (equivalent) and resume to
+//! the unbudgeted fixpoint.
 
 use proptest::prelude::*;
 
 use prov_core::minimize::{
     minimize_with, Budget, MinimizeOptions, MinimizeOutcome, Minimizer, Strategy,
 };
+use prov_core::minprov::minprov_trace;
 use prov_query::containment::equivalent;
 use prov_query::generate::{random_cq, QuerySpec};
 use prov_query::{ConjunctiveQuery, Diseq, UnionQuery};
@@ -46,18 +49,15 @@ proptest! {
     #[test]
     fn minprov_strategy_preserves_equivalence(seed in 0u64..400, dp in 0u8..50) {
         let q = small_query(seed, dp);
-        for options in [
-            MinimizeOptions::default(),
-            MinimizeOptions::unmemoized(),
-            MinimizeOptions::default().with_dominance(false),
-            MinimizeOptions::default().with_memo(false),
-        ] {
-            let out = minimize_with(&q, options).expect("minprov is total").into_query();
-            prop_assert!(
-                equivalent(&q, &out),
-                "strategy=minprov options={options:?} broke equivalence for {q}"
-            );
-        }
+        let out = minimize_with(&q, MinimizeOptions::default())
+            .expect("minprov is total")
+            .into_query();
+        prop_assert!(equivalent(&q, &out), "minprov broke equivalence for {q}");
+        let oracle = minprov_trace(&q).output;
+        prop_assert!(
+            out.adjunct_wise_isomorphic(&oracle),
+            "engine and literal Algorithm 1 disagree on {q}: {out}  vs  {oracle}"
+        );
     }
 
     #[test]

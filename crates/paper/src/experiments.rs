@@ -545,40 +545,39 @@ pub fn x3_parallel_eval() -> ExperimentReport {
 
 /// X4 — Theorem 4.10 managed: on the exponential blowup family, the
 /// unified minimization engine's memoization measurably cuts the
-/// containment work of the seed path, and a step-budgeted run terminates
-/// within its budget with a *sound* (equivalent) partial result that
-/// resumes to the full p-minimal output.
+/// containment work of the literal Algorithm 1, and a step-budgeted run
+/// terminates within its budget with a *sound* (equivalent) partial
+/// result that resumes to the full p-minimal output.
 pub fn x4_budgeted_minimization() -> ExperimentReport {
     use prov_core::minimize::{Budget, MinimizeOptions, MinimizeOutcome, Minimizer};
     let mut r = ExperimentReport::new("X4", "Extension: budget-bounded minimization (Thm 4.10)");
     let q = UnionQuery::single(qn_family(3));
 
-    // Unbounded, memoized (the production default) vs unmemoized (the
-    // seed algorithm's shape): same output, far fewer containment checks.
+    // The engine vs Algorithm 1 read literally (eager steps I–III, no
+    // memo): same output, far fewer containment checks.
     let mut memoized = Minimizer::new(MinimizeOptions::default());
     let out = memoized
         .minimize(&q)
         .expect("minprov is total")
         .into_query();
-    let mut plain = Minimizer::new(MinimizeOptions::unmemoized());
-    let out_plain = plain.minimize(&q).expect("minprov is total").into_query();
+    let literal = minprov_trace(&q);
     r.line(format!(
         "Q_3: {} candidate completions → {} p-minimal adjuncts",
         memoized.stats().steps,
         out.len()
     ));
     r.line(format!(
-        "hom checks: memoized {} (memo dedup skipped {} candidates) vs unmemoized {}",
+        "hom checks: engine {} (memo dedup skipped {} candidates) vs literal Algorithm 1 {}",
         memoized.stats().hom_checks,
         memoized.stats().memo_dedup_skips,
-        plain.stats().hom_checks
+        literal.containment_checks
     ));
     r.check(
-        out.len() == out_plain.len() && equivalent(&out, &out_plain),
-        "memoized and unmemoized engines agree on the p-minimal output",
+        out.adjunct_wise_isomorphic(&literal.output),
+        "the engine and literal Algorithm 1 agree on the p-minimal output",
     );
     r.check(
-        memoized.stats().hom_checks * 3 < plain.stats().hom_checks * 2,
+        memoized.stats().hom_checks * 3 < literal.containment_checks * 2,
         "memoization cuts containment checks by more than a third on Q_3",
     );
     r.check(equivalent(&out, &q), "Thm 4.6: output is equivalent to Q_3");

@@ -169,6 +169,21 @@ impl UnionQuery {
             .collect();
         UnionQuery { adjuncts: kept }
     }
+
+    /// Whether the two unions have the same adjuncts up to isomorphism:
+    /// equally many, each adjunct of `self` isomorphic to a distinct
+    /// adjunct of `other`. Isomorphism is an equivalence relation, so
+    /// matching each adjunct to the first unmatched isomorphic one is
+    /// exact.
+    pub fn adjunct_wise_isomorphic(&self, other: &UnionQuery) -> bool {
+        use crate::homomorphism::are_isomorphic;
+        let mut unmatched: Vec<&ConjunctiveQuery> = other.adjuncts.iter().collect();
+        self.len() == other.len()
+            && self.adjuncts.iter().all(|a| {
+                let found = unmatched.iter().position(|b| are_isomorphic(a, b));
+                found.map(|i| unmatched.swap_remove(i)).is_some()
+            })
+    }
 }
 
 impl From<ConjunctiveQuery> for UnionQuery {
@@ -251,6 +266,21 @@ mod tests {
         let kept = UnionQuery::new(vec![q1, q2_again, q3]).unwrap();
         assert_eq!(kept.len(), 3);
         assert_eq!(kept.dedup_isomorphic().len(), 2);
+    }
+
+    #[test]
+    fn adjunct_wise_isomorphism_matches_distinct_adjuncts() {
+        let q = parse_ucq("ans(x) :- R(x,y), R(y,x), x != y\nans(x) :- R(x,x)").unwrap();
+        let renamed = parse_ucq("ans(u) :- R(u,u)\nans(u) :- R(v,u), R(u,v), v != u").unwrap();
+        assert!(q.adjunct_wise_isomorphic(&renamed));
+        // Same count, but both adjuncts of the left side would have to
+        // match the one loop on the right.
+        let loops = parse_ucq("ans(x) :- R(x,x)\nans(y) :- R(y,y)").unwrap();
+        let mixed = parse_ucq("ans(x) :- R(x,x)\nans(x) :- R(x,y)").unwrap();
+        assert!(!loops.adjunct_wise_isomorphic(&mixed));
+        assert!(!mixed.adjunct_wise_isomorphic(&loops));
+        let one = parse_ucq("ans(x) :- R(x,x)").unwrap();
+        assert!(!one.adjunct_wise_isomorphic(&loops));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub fn eval_options(body: &Json) -> Result<EvalOptions, String> {
 
 /// Reads `/minimize` engine fields from the request body: `strategy`
 /// (`"minprov"` default, `"auto"`, `"standard"`, `"dedup"`),
-/// `budget_steps`, `budget_ms`, `memo` (bool).
+/// `budget_steps`, `budget_ms`. Unknown fields are ignored.
 pub fn minimize_options(body: &Json) -> Result<MinimizeOptions, String> {
     let mut options = MinimizeOptions::default();
     if let Some(strategy) = body.get("strategy") {
@@ -67,9 +67,6 @@ pub fn minimize_options(body: &Json) -> Result<MinimizeOptions, String> {
         options.budget.max_duration = Some(Duration::from_millis(
             ms.as_u64().ok_or("\"budget_ms\" must be an integer")?,
         ));
-    }
-    if let Some(memo) = body.get("memo") {
-        options.memo = memo.as_bool().ok_or("\"memo\" must be a boolean")?;
     }
     Ok(options)
 }
@@ -120,13 +117,12 @@ mod tests {
     #[test]
     fn minimize_budgets_translate() {
         let opts = minimize_options(&obj(
-            r#"{"strategy":"auto","budget_steps":64,"budget_ms":250,"memo":false}"#,
+            r#"{"strategy":"auto","budget_steps":64,"budget_ms":250}"#,
         ))
         .expect("parses");
         assert_eq!(opts.strategy, Strategy::Auto);
         assert_eq!(opts.budget.max_steps, Some(64));
         assert_eq!(opts.budget.max_duration, Some(Duration::from_millis(250)));
-        assert!(!opts.memo);
         assert!(minimize_options(&obj(r#"{"strategy":"fast"}"#)).is_err());
         assert!(minimize_options(&obj(r#"{"budget_steps":"lots"}"#)).is_err());
     }

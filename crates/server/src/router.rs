@@ -5,7 +5,7 @@
 //! | `POST /load` | database text (or `{"db": text}`) | replace the loaded database |
 //! | `POST /mutate` | `{"insert": [lines], "remove": [lines]}` | apply tuple-level mutations |
 //! | `POST /eval` | `{"query", "threads"?, "chunk_rows"?}` | annotated evaluation |
-//! | `POST /minimize` | `{"query", "strategy"?, "budget_steps"?, "budget_ms"?, "memo"?}` | (budgeted) minimization |
+//! | `POST /minimize` | `{"query", "strategy"?, "budget_steps"?, "budget_ms"?}` | (budgeted) minimization |
 //! | `GET /stats` | — | cache/generation/latency counters |
 //! | `POST /shutdown` | — | request graceful shutdown |
 //!
@@ -45,7 +45,7 @@ pub fn route(state: &ServerState, request: &Request) -> (Endpoint, Response) {
         ("POST", "/load") => (Endpoint::Load, handle_load(state, request)),
         ("POST", "/mutate") => (Endpoint::Mutate, handle_mutate(state, request)),
         ("POST", "/eval") => (Endpoint::Eval, handle_eval(state, request)),
-        ("POST", "/minimize") => (Endpoint::Minimize, handle_minimize(state, request)),
+        ("POST", "/minimize") => (Endpoint::Minimize, handle_minimize(request)),
         ("GET", "/stats") => (Endpoint::Stats, handle_stats(state)),
         ("POST", "/shutdown") => (Endpoint::Shutdown, handle_shutdown(state)),
         (_, "/load" | "/mutate" | "/eval" | "/minimize" | "/stats" | "/shutdown") => (
@@ -544,7 +544,7 @@ fn durability_json(state: &ServerState) -> Json {
     ])
 }
 
-fn handle_minimize(state: &ServerState, request: &Request) -> Response {
+fn handle_minimize(request: &Request) -> Response {
     let body = match json_body(request) {
         Ok(body) => body,
         Err(resp) => return resp,
@@ -557,9 +557,6 @@ fn handle_minimize(state: &ServerState, request: &Request) -> Response {
         Ok(options) => options,
         Err(e) => return Response::error(400, e),
     };
-    // Minimization is pure query rewriting — it does not touch the
-    // database, so no lock is held; the state only provides counters.
-    let _ = state;
     match minimize_with(&query, options) {
         Ok(MinimizeOutcome::Complete(minimal)) => Response::json(
             200,

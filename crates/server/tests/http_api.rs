@@ -248,6 +248,29 @@ fn removed_evaluator_knobs_on_the_wire() {
 }
 
 #[test]
+fn removed_minimizer_knob_on_the_wire() {
+    let (handle, addr) = start("");
+    let query = "ans(x) :- R(x,y), R(y,x)";
+    // `memo` switched off the minimizer's memoization; the engine now has
+    // one configuration, so the field is an ignored unknown field,
+    // answered like the same request without it.
+    let minimized = |body: &str| {
+        let (status, response) = client::post_json(&addr, "/minimize", body).expect("round trip");
+        assert_eq!(status, 200, "{body}");
+        json(&response).get("query").cloned().expect("query")
+    };
+    let plain = minimized(&format!(r#"{{"query": "{query}"}}"#));
+    for field in [r#""memo": false"#, r#""memo": "yes""#] {
+        assert_eq!(
+            minimized(&format!(r#"{{"query": "{query}", {field}}}"#)),
+            plain,
+            "{field}"
+        );
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn keepalive_connection_serves_many_requests() {
     let (handle, addr) = start(TABLE_2);
     let eval = r#"{"query": "ans(x) :- R(x,x)"}"#;

@@ -38,7 +38,6 @@
 //! * `--budget-steps N` / `--budget-ms N` — step / wall-clock budget.
 //!   A budget-exhausted run prints the best sound partial result plus its
 //!   resume cursor and exits with code 3 (distinct from errors).
-//! * `--no-memo` — disable canonical-form memoization (diagnostics).
 //!
 //! `serve` starts the long-running HTTP/1.1 service over the shared
 //! generation-keyed index cache (see `docs/SERVER.md`):
@@ -68,10 +67,11 @@
 //! `fuzz` differentially checks DSL-generated scenarios (every thread
 //! count × chunk size bit-identical to the Def 2.6 oracle,
 //! semiring specialization consistent, every eligible minimize strategy
-//! equivalent with sound budgeted partials). Exit codes: 0 = all cases agree, 1 = divergence
-//! (the reproducing `(spec, seed, case)` triple is printed), 2 = flag
-//! errors. `--list-specs` prints the built-in spec names; `--case K`
-//! replays exactly one case. See `docs/FUZZING.md`.
+//! equivalent with sound budgeted partials, MinProv adjunct-wise
+//! isomorphic to the literal Algorithm 1). Exit codes: 0 = all cases
+//! agree, 1 = divergence (the reproducing `(spec, seed, case)` triple is
+//! printed), 2 = flag errors. `--list-specs` prints the built-in spec
+//! names; `--case K` replays exactly one case. See `docs/FUZZING.md`.
 //!
 //! Queries use the rule syntax (unions: join rules with ';'):
 //! `ans(x) :- R(x,y), R(y,x), x != y ; ans(x) :- R(x,x)`.
@@ -93,7 +93,7 @@ const EXIT_BUDGET_EXHAUSTED: u8 = 3;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  provmin eval [--threads N] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
-         provmin minimize [--strategy minprov|auto|standard|dedup] [--budget-steps N] [--budget-ms N] [--no-memo] '<query>'\n  \
+         provmin minimize [--strategy minprov|auto|standard|dedup] [--budget-steps N] [--budget-ms N] '<query>'\n  \
          provmin core [--threads N] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
          provmin trace '<query>'\n  \
          provmin datalog <db-file> <program-file> <predicate>\n  \
@@ -194,10 +194,6 @@ fn parse_minimize_flags(args: &[String]) -> Result<(Vec<String>, MinimizeOptions
                     .map_err(|_| "--budget-ms must be an integer".to_owned())?;
                 options.budget.max_duration = Some(std::time::Duration::from_millis(ms));
             }
-            "--no-memo" => {
-                flags_used = true;
-                options.memo = false;
-            }
             _ => positional.push(arg.clone()),
         }
     }
@@ -251,7 +247,7 @@ fn main() -> ExitCode {
         }
     };
     if minimize_flags_used && args.first().map(String::as_str) != Some("minimize") {
-        eprintln!("error: --strategy/--budget-*/--no-memo only apply to minimize");
+        eprintln!("error: --strategy/--budget-* only apply to minimize");
         return usage();
     }
     let result = match args.as_slice() {
@@ -427,7 +423,8 @@ fn run_fuzz(options: &provmin::fuzz::FuzzOptions) -> ExitCode {
         }) => {
             println!(
                 "fuzz: OK — {cases} case(s) of spec={} seed={} agree across {} eval configs, \
-                 semiring specialization, and every eligible minimize strategy",
+                 semiring specialization, and every eligible minimize strategy \
+                 (MinProv against the literal Algorithm 1)",
                 options.spec, options.seed, eval_configs
             );
             ExitCode::SUCCESS

@@ -22,9 +22,11 @@
 //!   (the homomorphism property the polynomials are universal for).
 //! * **Minimization** — every eligible strategy's output must be
 //!   equivalent to the input (containment both ways), produce the same
-//!   answer set on the scenario database, and — for `MinProv` — per-tuple
-//!   provenance `≤` the original (the core-provenance guarantee of
-//!   Theorem 4.6). A step-budgeted run must yield a *sound* partial.
+//!   answer set on the scenario database, and — for `MinProv` — match
+//!   the literal Algorithm 1 ([`minprov_trace`]) adjunct for adjunct up to
+//!   isomorphism and have per-tuple provenance `≤` the original (the
+//!   core-provenance guarantee of Theorem 4.6). A step-budgeted run must
+//!   yield a *sound* partial.
 //!
 //! Every failure message carries the `(spec, seed, case)` triple, which
 //! reproduces the scenario exactly (`provmin fuzz --spec S --seed N
@@ -33,6 +35,7 @@
 use std::collections::BTreeMap;
 
 use prov_core::minimize::{minimize_with, Budget, MinimizeOptions, MinimizeOutcome, Strategy};
+use prov_core::minprov::minprov_trace;
 use prov_engine::{eval_in_semiring, eval_ucq_naive, EvalOptions, EvalSession, DEFAULT_CHUNK_ROWS};
 use prov_query::containment::equivalent;
 use prov_query::ConjunctiveQuery;
@@ -225,6 +228,14 @@ pub fn check_scenario(
             ));
         }
         if strategy == Strategy::MinProv {
+            // The engine must reproduce Algorithm 1 read literally, up to
+            // adjunct order and variable names.
+            let oracle = minprov_trace(query).output;
+            if !minimized.adjunct_wise_isomorphic(&oracle) {
+                return Err(format!(
+                    "MinProv diverged from the literal Algorithm 1 on {query}: {minimized}  vs  {oracle}"
+                ));
+            }
             // Theorem 4.6: the p-minimal rewriting realizes the *core*
             // provenance — per tuple, ≤ the original polynomial.
             for (tuple, provenance) in reference.iter() {

