@@ -378,6 +378,42 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
         }
     }
 
+    // Constant-anchored three-hop paths over provbench's database shape
+    // (R 20,000 and S 4,000 tuples over 1,000 values), cold views.
+    // `anchored_path` is the `read_miss` shape, which the engine
+    // semijoin-reduces before the join (constants at two atoms);
+    // `single_anchor_path` is the `read_large` shape, which it leaves
+    // alone (one anchor) — its row guards that skip. The anchored
+    // query's peak frontier is a deterministic row count.
+    {
+        use prov_storage::generator::{random_database, DatabaseSpec};
+        let db = random_database(
+            &DatabaseSpec {
+                relations: vec![("R".to_owned(), 2, 20_000), ("S".to_owned(), 2, 4_000)],
+                domain_size: 1_000,
+                value_prefix: "d".to_owned(),
+            },
+            1,
+        );
+        let anchored = parse_cq("ans(x, z) :- R('d120', x), R(x, y), R(y, z), S(z, 'd806')")
+            .expect("anchored path parses");
+        let single = parse_cq("ans(z) :- R('d120', x), R(x, y), R(y, z)")
+            .expect("single-anchor path parses");
+        record("eval_throughput/anchored_path/24k", &mut || {
+            std::hint::black_box(eval_cq_with(&anchored, &db, batched));
+        });
+        record("eval_throughput/single_anchor_path/24k", &mut || {
+            std::hint::black_box(eval_cq_with(&single, &db, batched));
+        });
+        let session = EvalSession::with_options(batched);
+        session.eval_cq(&anchored, &db);
+        extra.push(Measurement {
+            id: "peak_frontier/anchored_path".to_owned(),
+            ns_per_iter: u128::from(session.stats().peak_frontier_rows),
+            iters: 1,
+        });
+    }
+
     // B7 direct_core.
     let poly80 = random_polynomial(80, 6, 43, 3);
     record("direct_core/core_polynomial/80", &mut || {
@@ -751,5 +787,15 @@ mod tests {
                 < peak("peak_frontier/fanout_selfjoin/unchunked"),
             "chunking must bound the peak frontier"
         );
+        // Constant-anchored paths over provbench's database shape: the
+        // semijoin-reduced two-anchor path, the one-anchor path the
+        // reduction skips, and the reduced path's peak frontier.
+        for id in [
+            "eval_throughput/anchored_path/24k",
+            "eval_throughput/single_anchor_path/24k",
+            "peak_frontier/anchored_path",
+        ] {
+            assert!(ms.iter().any(|m| m.id == id), "{id} not covered");
+        }
     }
 }

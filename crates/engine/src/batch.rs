@@ -22,6 +22,10 @@
 //! with a canonical coefficient-map representation, so the result is
 //! *equal* — not merely equivalent — to the oracle's (checked by the
 //! proptests in `tests/parallel_consistency.rs` and by `provmin fuzz`).
+//! A full evaluation of a body with several constant anchors first
+//! narrows each variable's values by semijoins (`crate::semijoin`) and
+//! binds only values inside those domains; a value leaves a domain only
+//! if it occurs in no assignment, so the enumerated set is unchanged.
 //! Parallelism composes by splitting the first atom's block into chunks
 //! work-stolen by scoped threads, each ⊕-accumulating a private partial
 //! result; the partials are then ⊕-merged, so completion order cannot
@@ -49,6 +53,7 @@ use prov_storage::{ColumnarRelation, Database, RelName, Value};
 use crate::cache::{EvalViews, IndexCache};
 use crate::eval::{AnnotatedResult, EvalOptions};
 use crate::index::RelationIndex;
+use crate::semijoin::Domains;
 
 /// How many block chunks each worker thread gets on average;
 /// over-partitioning lets the stealing cursor balance skewed chunks.
@@ -140,6 +145,9 @@ struct AtomPlan {
     /// Positions that must equal an earlier position of the same row
     /// (a variable repeated within this atom, first bound here).
     self_checks: Vec<(usize, usize)>,
+    /// Newly bound positions whose value must lie in the variable's
+    /// semijoin-reduced domain (sorted ids; see `crate::semijoin`).
+    domain_checks: Vec<(usize, Vec<u32>)>,
     /// Positions whose values become new block columns, in column order.
     binds: Vec<usize>,
     /// Disequalities that become fully bound after this step.
@@ -182,11 +190,13 @@ impl Block {
 }
 
 /// Compiles the planned atom order into extension steps plus the head
-/// fetch plan. `order` must be a permutation of the query's atom indices.
+/// fetch plan. `order` must be a permutation of the query's atom indices;
+/// `domains` restricts the values each variable may be bound to.
 fn build_plans(
     q: &ConjunctiveQuery,
     order: &[usize],
     delta: Option<&DeltaPass<'_>>,
+    mut domains: Domains,
 ) -> (Vec<AtomPlan>, Vec<Fetch>) {
     let mut col_of: std::collections::BTreeMap<Variable, usize> = std::collections::BTreeMap::new();
     let mut scheduled = vec![false; q.diseqs().len()];
@@ -199,6 +209,7 @@ fn build_plans(
             const_checks: Vec::new(),
             bound_checks: Vec::new(),
             self_checks: Vec::new(),
+            domain_checks: Vec::new(),
             binds: Vec::new(),
             diseqs: Vec::new(),
         };
@@ -219,6 +230,9 @@ fn build_plans(
                         first_pos.insert(*v, pos);
                         col_of.insert(*v, col_of.len());
                         plan.binds.push(pos);
+                        if let Some(dom) = domains.remove(v) {
+                            plan.domain_checks.push((pos, dom));
+                        }
                     }
                 }
             }
@@ -274,6 +288,10 @@ fn extend_block(
                 .self_checks
                 .iter()
                 .all(|&(pos, p0)| rel.column_ids(pos)[row] == rel.column_ids(p0)[row])
+            && plan
+                .domain_checks
+                .iter()
+                .all(|(pos, dom)| dom.binary_search(&rel.column_ids(*pos)[row]).is_ok())
     };
 
     // The join phase: (parent, relation row) match pairs.
@@ -494,9 +512,19 @@ pub(crate) fn eval_cq_batched_restricted(
     // set is one row, so every later atom extends a one-assignment block
     // through index probes and the pass stays O(|Δ| · index probes).
     let index = views.database_index(db);
-    let order = crate::planner::plan(q, index, delta.map(|d| d.pinned));
-    let (plans, head) = build_plans(q, &order, delta);
     let columnar = views.columnar(db);
+    // A full evaluation of a body with several constant anchors first
+    // narrows every variable's values by semijoins; an atom that matches
+    // nothing under them empties the result before the pipeline starts.
+    let domains = match delta {
+        Some(_) => Domains::new(),
+        None => match crate::semijoin::reduce(q, index, columnar) {
+            Some(domains) => domains,
+            None => return result,
+        },
+    };
+    let order = crate::planner::plan(q, index, delta.map(|d| d.pinned));
+    let (plans, head) = build_plans(q, &order, delta, domains);
     let rels: Vec<&ColumnarRelation> = plans
         .iter()
         .map(|p| columnar.relation(p.rel).expect("relation validated above"))

@@ -14,6 +14,7 @@ mod cache;
 mod eval;
 mod index;
 mod planner;
+mod semijoin;
 mod session;
 
 pub use assignment::{assignments, eval_cq_naive, eval_ucq_naive, Assignment};

@@ -317,8 +317,8 @@ impl EvalSession {
                 // fall through to a full rebuild below.
             }
         }
-        // Full evaluation outside the store lock, so concurrent sessions
-        // callers of *other* queries are not serialized behind it.
+        // Full evaluation runs outside the store lock, so callers of
+        // *other* queries do not wait on it.
         let mut fresh = AnnotatedResult::default();
         for adj in adjuncts {
             fresh.merge(eval_cq_via_cache(adj, db, options, &self.views));

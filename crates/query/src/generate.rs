@@ -7,6 +7,7 @@ use rand::{Rng, SeedableRng};
 use crate::atom::{Atom, Diseq};
 use crate::cq::ConjunctiveQuery;
 use crate::term::{Term, Variable};
+use prov_storage::Value;
 
 fn v(prefix: &str, i: usize) -> Variable {
     Variable::new(&format!("{prefix}{i}"))
@@ -75,6 +76,11 @@ pub struct QuerySpec {
     /// Probability (0..=100) that any given variable pair gets a
     /// disequality.
     pub diseq_percent: u8,
+    /// Probability (0..=100) that an atom argument is a constant
+    /// (`'d0'`…`'d4'`, the low end of the `d`-prefixed database domains)
+    /// instead of a variable. At 0 no random draw is spent on it, so a
+    /// seed generates the same query as before the field existed.
+    pub const_percent: u8,
 }
 
 impl QuerySpec {
@@ -86,6 +92,7 @@ impl QuerySpec {
             relations: vec![("R".to_owned(), 2)],
             head_arity: 1,
             diseq_percent: 0,
+            const_percent: 0,
         }
     }
 }
@@ -99,7 +106,14 @@ pub fn random_cq(spec: &QuerySpec, seed: u64) -> ConjunctiveQuery {
     for _ in 0..spec.num_atoms.max(1) {
         let (name, arity) = &spec.relations[rng.random_range(0..spec.relations.len())];
         let args: Vec<Term> = (0..*arity)
-            .map(|_| Term::Var(vars[rng.random_range(0..vars.len())]))
+            .map(|_| {
+                if spec.const_percent > 0 && rng.random_range(0..100u8) < spec.const_percent {
+                    let c = rng.random_range(0..5u8);
+                    Term::Const(Value::new(&format!("d{c}")))
+                } else {
+                    Term::Var(vars[rng.random_range(0..vars.len())])
+                }
+            })
             .collect();
         atoms.push(Atom::of(name, &args));
     }
@@ -167,6 +181,39 @@ mod tests {
     fn random_cq_is_deterministic() {
         let spec = QuerySpec::binary(4, 3);
         assert_eq!(random_cq(&spec, 11), random_cq(&spec, 11));
+    }
+
+    #[test]
+    fn const_percent_zero_keeps_every_seed_s_query() {
+        // The queries these seeds generated before `const_percent`
+        // existed: at 0 the field spends no random draw.
+        let spec = QuerySpec {
+            diseq_percent: 40,
+            relations: vec![("R".to_owned(), 2), ("S".to_owned(), 2)],
+            ..QuerySpec::binary(4, 3)
+        };
+        assert_eq!(
+            random_cq(&spec, 7).to_string(),
+            "ans(g0) :- S(g0,g0), S(g1,g0), R(g0,g2), S(g1,g1)"
+        );
+        assert_eq!(
+            random_cq(&spec, 11).to_string(),
+            "ans(g1) :- S(g1,g0), R(g2,g1), R(g2,g2), R(g1,g1), g0 != g1, g1 != g2"
+        );
+        let anchored = QuerySpec {
+            const_percent: 30,
+            ..spec
+        };
+        let constants: usize = (0..20)
+            .map(|seed| {
+                random_cq(&anchored, seed)
+                    .atoms()
+                    .iter()
+                    .flat_map(|a| a.constants())
+                    .count()
+            })
+            .sum();
+        assert!(constants > 0);
     }
 
     #[test]

@@ -109,12 +109,14 @@ impl ScenarioSpec {
                 .append(cycles_grammar())
                 .append(ucq_overlap_grammar())
                 .append(diseq_grammar())
-                .append(constants_grammar()),
+                .append(constants_grammar())
+                .append(anchored_grammar()),
             "fanout" => fanout_grammar(),
             "cycles" => cycles_grammar(),
             "ucq-overlap" => ucq_overlap_grammar(),
             "diseq" => diseq_grammar(),
             "constants" => constants_grammar(),
+            "anchored" => anchored_grammar(),
             "soak" | "mutate" => soak_grammar(),
             _ => return None,
         };
@@ -138,6 +140,7 @@ impl ScenarioSpec {
             "ucq-overlap",
             "diseq",
             "constants",
+            "anchored",
             "soak",
             "mutate",
         ]
@@ -216,6 +219,25 @@ fn diseq_grammar() -> Workload {
 fn constants_grammar() -> Workload {
     Workload::new(["ans(x0) :- R(x0,{T}), R({T},x1)"])
         .plug("T", Workload::new(["'d0'", "'d1'", "x0", "x1"]))
+        .filter(Filter::Wellformed)
+}
+
+/// Bodies with constants at two atoms — the shape the engine
+/// semijoin-reduces before joining: 3- and 4-atom `R`/`S` paths from
+/// `'d0'` to `'d1'` (with the `R(x1,x1)` degeneration of the middle
+/// hop), a 3-cycle through `'d1'`, a triangle anchored at two of its
+/// vertices, each with and without `x1 != 'd0'`.
+fn anchored_grammar() -> Workload {
+    let bodies = Workload::new([
+        "R('d0',x1), R(x1,{T}), S({T},'d1')",
+        "R('d0',x1), R(x1,{T}), R({T},x3), S(x3,'d1')",
+        "R(x2,x1), R(x1,'d1'), R('d1',x2)",
+        "R('d0',x1), R(x1,x2), R(x2,x3), R(x3,x1), S(x2,'d1')",
+    ])
+    .plug("T", Workload::new(["x2", "x1"]));
+    Workload::new(["ans(x1) :- {B}{D}"])
+        .plug("B", bodies)
+        .plug("D", Workload::new(["", ", x1 != 'd0'"]))
         .filter(Filter::Wellformed)
 }
 

@@ -314,6 +314,7 @@ fn fuzz_list_specs_prints_every_builtin() {
         "ucq-overlap",
         "diseq",
         "constants",
+        "anchored",
         "soak",
     ] {
         assert!(text.lines().any(|l| l == name), "{name} listed: {text}");

@@ -120,6 +120,7 @@ fn small_query(seed: u64, diseq_percent: u8) -> ConjunctiveQuery {
         relations: vec![("R".to_owned(), 2)],
         head_arity: (seed % 2) as usize,
         diseq_percent,
+        const_percent: 0,
     };
     random_cq(&spec, seed)
 }
