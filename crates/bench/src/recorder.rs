@@ -537,6 +537,71 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
         ));
     }
 
+    // Mutation absorption over provbench's database shape (R and S at a
+    // 5:1 ratio over 1,000 values), at 2,000 and 24,000 tuples: a warm
+    // session (both views built) takes one remove plus one insert
+    // through `apply_mutation`, toggling a 256-tuple pool of `R` rows.
+    // The removal swaps a row out of the middle of the relation and the
+    // re-insert appends it, so the size never drifts. Patching the views
+    // is O(|Δ|), so the 24k row should stay within ~2x of the 2k row.
+    // `insert_1/unanchored_24k` re-evaluates `R(x,y), S(y,z)` after one
+    // `R` insert: the delta pass pins `R` with no constant in the body,
+    // and must still find the new row through a posting list.
+    {
+        use prov_storage::generator::{random_database, DatabaseSpec};
+        let shape = |tuples: usize| {
+            random_database(
+                &DatabaseSpec {
+                    relations: vec![
+                        ("R".to_owned(), 2, tuples * 5 / 6),
+                        ("S".to_owned(), 2, tuples / 6),
+                    ],
+                    domain_size: 1_000,
+                    value_prefix: "d".to_owned(),
+                },
+                1,
+            )
+        };
+        let rel = RelName::new("R");
+        let body = parse_cq("ans(x, z) :- R(x, y), S(y, z)").expect("unanchored join parses");
+        for (id, tuples) in [
+            ("incremental/mutate_toggle/2k", 2_000),
+            ("incremental/mutate_toggle/24k", 24_000),
+        ] {
+            let mut db = shape(tuples);
+            let r = db.relation(rel).expect("R generated");
+            let pool: Vec<_> = (0..256).map(|k| r.row(k * r.len() / 256).clone()).collect();
+            let session = EvalSession::with_options(batched);
+            session.eval_cq(&body, &db);
+            let mut next = 0;
+            out.push(measure_timed_section(id, budget_ms, || {
+                let (tuple, annotation) = pool[next % pool.len()].clone();
+                next += 1;
+                let t0 = Instant::now();
+                session.apply_mutation(&mut db, &[(rel, tuple.clone())], &[]);
+                session.apply_mutation(&mut db, &[], &[(rel, tuple, annotation)]);
+                t0.elapsed()
+            }));
+            if tuples == 24_000 {
+                let fresh = Tuple::of(&["inc_u", "d7"]);
+                session.eval_cq(&body, &db);
+                out.push(measure_timed_section(
+                    "incremental/insert_1/unanchored_24k",
+                    budget_ms,
+                    || {
+                        db.add("R", &["inc_u", "d7"], "inc_u");
+                        let t0 = Instant::now();
+                        std::hint::black_box(session.eval_cq(&body, &db));
+                        let elapsed = t0.elapsed();
+                        db.remove(rel, &fresh);
+                        session.eval_cq(&body, &db);
+                        elapsed
+                    },
+                ));
+            }
+        }
+    }
+
     // Durability: cold recovery of a qconj/800-scale snapshot plus a
     // 64-record WAL tail — the boot path a crashed `--data-dir` server
     // pays before it can serve again. Recovery is read-only, so the
@@ -733,6 +798,9 @@ mod tests {
             "incremental/insert_1/qconj800",
             "incremental/delete_1/qconj800",
             "incremental/rebuild_1/qconj800",
+            "incremental/mutate_toggle/2k",
+            "incremental/mutate_toggle/24k",
+            "incremental/insert_1/unanchored_24k",
         ] {
             assert!(ms.iter().any(|m| m.id == id), "{id} not covered");
         }

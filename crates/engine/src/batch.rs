@@ -94,6 +94,8 @@ pub(crate) struct DeltaPass<'a> {
     pub(crate) pinned: usize,
     /// The delta row's annotation.
     pub(crate) row: Annotation,
+    /// The delta row's values, position by position.
+    pub(crate) values: &'a [Value],
     /// The restriction of every atom written before `pinned`.
     pub(crate) before: &'a RowRestrict,
     /// The restriction of every atom written after `pinned`.
@@ -213,6 +215,16 @@ fn build_plans(
             binds: Vec::new(),
             diseqs: Vec::new(),
         };
+        // The pinned atom matches exactly the delta row, so its values
+        // are constants too: the row is then found through a posting
+        // list instead of a scan of the whole relation.
+        if let Some(d) = delta.filter(|d| d.pinned == ai) {
+            for (pos, (term, &value)) in atom.args.iter().zip(d.values).enumerate() {
+                if let Term::Var(_) = term {
+                    plan.const_checks.push((pos, value));
+                }
+            }
+        }
         let mut first_pos: std::collections::BTreeMap<Variable, usize> =
             std::collections::BTreeMap::new();
         for (pos, term) in atom.args.iter().enumerate() {

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use prov_storage::{ColumnarDatabase, Database, DeltaEvent, DeltaKind};
+use prov_storage::{ColumnarDatabase, Database, DeltaEvent, DeltaKind, Value};
 
 use crate::index::DatabaseIndex;
 
@@ -25,8 +25,10 @@ use crate::index::DatabaseIndex;
 ///
 /// Cheap to create (nothing is built until first use); shareable across
 /// threads via `Arc`. Both views are memoized with [`OnceLock`], so
-/// concurrent evaluations build each at most once.
-#[derive(Debug)]
+/// concurrent evaluations build each at most once. `Clone` backs the
+/// copy-on-write patch of [`IndexCache`]: an entry is copied only while
+/// someone else still holds it.
+#[derive(Clone, Debug)]
 pub struct EvalViews {
     generation: u64,
     index: OnceLock<DatabaseIndex>,
@@ -63,51 +65,65 @@ impl EvalViews {
             .get_or_init(|| ColumnarDatabase::from_database(db))
     }
 
-    /// Views for `db`'s current generation obtained by replaying `events`
-    /// (the deltas between these views' generation and `db`'s) onto
-    /// whichever views are already built — appends for inserts, row
-    /// removal with id reindexing for removes — instead of rebuilding
-    /// them from scratch. Unbuilt views stay unbuilt (lazy as ever).
+    /// Rolls these views forward to `db`'s current generation in place by
+    /// replaying `events` (the deltas between these views' generation and
+    /// `db`'s) onto whichever views are already built — an append per
+    /// insert, a swap-remove per removal — in O(|events|) index probes,
+    /// never a rebuild or a copy. Unbuilt views stay unbuilt (lazy as
+    /// ever).
     ///
-    /// Returns `None` when patching is impossible: a remove event needs
-    /// the row id, recovered from the columnar annotation column, so views
-    /// with only the index built (a caller that asked for
-    /// [`EvalViews::database_index`] alone) cannot replay removes and fall
-    /// back to a fresh (lazily rebuilt) entry.
-    pub(crate) fn patched(&self, db: &Database, events: &[DeltaEvent]) -> Option<EvalViews> {
-        let mut columnar = self.columnar.get().cloned();
-        let mut index = self.index.get().cloned();
+    /// Returns `None` when the patch cannot finish; the views are then
+    /// unusable and the caller must drop them. A removal finds its row
+    /// through the index and checks it against the columnar annotation
+    /// column, so it needs both views or neither: a caller that built
+    /// only one of them cannot replay removals.
+    pub(crate) fn patch(&mut self, db: &Database, events: &[DeltaEvent]) -> Option<()> {
+        let mut index = self.index.get_mut();
+        let mut columnar = self.columnar.get_mut();
+        let removes = events.iter().any(|e| e.kind == DeltaKind::Remove);
+        if removes && index.is_some() != columnar.is_some() {
+            return None;
+        }
         for event in events {
             match event.kind {
                 DeltaKind::Insert => {
-                    if let Some(c) = &mut columnar {
+                    if let Some(c) = columnar.as_deref_mut() {
                         c.push_row(event.rel, &event.tuple, event.annotation);
                     }
-                    if let Some(ix) = &mut index {
+                    if let Some(ix) = index.as_deref_mut() {
                         ix.push_row(event.rel, event.tuple.values());
                     }
                 }
                 DeltaKind::Remove => {
-                    let row = match &mut columnar {
-                        Some(c) => Some(c.remove_row(event.rel, event.annotation)?),
-                        None if index.is_some() => return None,
-                        None => None,
-                    };
-                    if let (Some(ix), Some(row)) = (&mut index, row) {
-                        ix.remove_row(event.rel, row);
+                    if let (Some(ix), Some(c)) = (index.as_deref_mut(), columnar.as_deref_mut()) {
+                        swap_remove(ix, c, event)?;
                     }
                 }
             }
         }
-        let views = EvalViews::new(db);
-        if let Some(c) = columnar {
-            let _ = views.columnar.set(c);
-        }
-        if let Some(ix) = index {
-            let _ = views.index.set(ix);
-        }
-        Some(views)
+        self.generation = db.generation();
+        Some(())
     }
+}
+
+/// Removes `event`'s row from both views: found through the removed
+/// tuple's shortest posting list and checked against the annotation
+/// column, then swap-removed, with the moved last row's values read from
+/// the columnar view before the swap. `None` if no row matches.
+fn swap_remove(
+    index: &mut DatabaseIndex,
+    columnar: &mut ColumnarDatabase,
+    event: &DeltaEvent,
+) -> Option<()> {
+    let ix = index.relation_mut(event.rel)?;
+    let col = columnar.relation_mut(event.rel)?;
+    let tags = col.annotations();
+    let row = ix.find_row(event.tuple.values(), |r| tags[r] == event.annotation)?;
+    let last = col.len() - 1;
+    let moved: Vec<Value> = (0..col.arity()).map(|pos| col.value(last, pos)).collect();
+    ix.swap_remove_row(row, event.tuple.values(), &moved);
+    col.swap_remove_row(row);
+    Some(())
 }
 
 /// Hit/miss counters of one [`IndexCache`] (cumulative).
@@ -144,27 +160,24 @@ impl IndexCache {
 
     /// The views for `db`'s current generation: the cached entry when its
     /// stamp matches; a stale entry the delta log still reaches is rolled
-    /// forward in place (appends/row removals, no rebuild — counted as a
-    /// hit); anything else is displaced by a fresh entry (a miss).
+    /// forward (appends/swap-removes, no rebuild — counted as a hit);
+    /// anything else is displaced by a fresh entry (a miss).
     ///
     /// The roll-forward is lineage-safe without further checks because
     /// generation stamps are globally unique: `deltas_since` on an
     /// unrelated database can never name another database's stamp.
     pub fn views(&self, db: &Database) -> Arc<EvalViews> {
         let mut entry = self.entry.lock().expect("index cache poisoned");
-        if let Some(views) = entry.as_ref() {
+        if let Some(views) = entry.as_mut() {
             if views.generation() == db.generation() {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(views);
             }
-            if let Some(patched) = db
-                .deltas_since(views.generation())
-                .and_then(|events| views.patched(db, events))
-            {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                let views = Arc::new(patched);
-                *entry = Some(Arc::clone(&views));
-                return views;
+            if let Some(events) = db.deltas_since(views.generation()) {
+                if Arc::make_mut(views).patch(db, events).is_some() {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Arc::clone(views);
+                }
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -174,20 +187,22 @@ impl IndexCache {
     }
 
     /// Carries the cached entry across a mutation: when the entry's stamp
-    /// is `from_gen` (the generation the mutation started from), it is
-    /// replaced by a patched entry for `db`'s current generation with the
-    /// already-built views updated in place (see `EvalViews::patched`)
-    /// — the next lookup hits instead of rebuilding. Any other entry (or
-    /// an unpatchable one) is left to the normal miss-and-rebuild path.
+    /// is `from_gen` (the generation the mutation started from), its
+    /// already-built views are patched to `db`'s current generation (see
+    /// `EvalViews::patch`), so the next lookup hits instead of
+    /// rebuilding. Copy-on-write: the entry is patched in place unless
+    /// someone still holds an `Arc` to it, who then keeps the old
+    /// generation's views. An entry whose patch cannot finish is dropped,
+    /// never left half-patched; any other entry is left to the normal
+    /// miss-and-rebuild path.
     pub fn patch(&self, db: &Database, from_gen: u64, events: &[DeltaEvent]) {
         let mut entry = self.entry.lock().expect("index cache poisoned");
-        let Some(views) = entry.as_ref() else { return };
+        let Some(views) = entry.as_mut() else { return };
         if views.generation() != from_gen {
             return;
         }
-        match views.patched(db, events) {
-            Some(patched) => *entry = Some(Arc::new(patched)),
-            None => *entry = None,
+        if Arc::make_mut(views).patch(db, events).is_none() {
+            *entry = None;
         }
     }
 
@@ -232,6 +247,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::prop_assert_eq;
+    use prov_semiring::Annotation;
     use prov_storage::{RelName, Tuple};
 
     fn sample() -> Database {
@@ -282,7 +299,8 @@ mod tests {
         );
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         // A remove with only the index built cannot be replayed (the row
-        // id lives in the columnar view): fall back to a fresh entry.
+        // is checked against the columnar annotation column): fall back
+        // to a fresh entry.
         db.remove(RelName::new("R"), &Tuple::of(&["c", "d"]));
         let rebuilt = cache.views(&db);
         assert_eq!(
@@ -300,48 +318,26 @@ mod tests {
     fn patch_carries_warm_views_across_mutations() {
         let mut db = sample();
         let cache = IndexCache::new();
-        let warm = cache.views(&db);
-        // Build both views so there is something to patch.
-        warm.database_index(&db);
-        warm.columnar(&db);
+        warm(&cache, &db);
         let from = db.generation();
         db.add("R", &["c", "d"], "cp1");
         db.remove(RelName::new("R"), &Tuple::of(&["a", "b"]));
         let events = db.deltas_since(from).unwrap();
         cache.patch(&db, from, events);
 
-        // The patched entry serves the new generation as a *hit*.
+        // The patched entry serves the new generation as a *hit*, and its
+        // contents equal a from-scratch build: the insert brought new
+        // values ("c" at 0, "d" at 1), the remove took the last "a" at 0
+        // and "b" at 1.
         let patched = cache.views(&db);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(patched.generation(), db.generation());
-        // And its contents equal a from-scratch build.
-        let fresh = EvalViews::new(&db);
-        let rel = RelName::new("R");
-        let patched_col = patched.columnar(&db).relation(rel).unwrap();
-        let fresh_col = fresh.columnar(&db).relation(rel).unwrap();
-        assert_eq!(patched_col, fresh_col);
-        let patched_ix = patched.database_index(&db).relation(rel).unwrap();
-        let fresh_ix = fresh.database_index(&db).relation(rel).unwrap();
-        assert_eq!(patched_ix.len(), fresh_ix.len());
-        // The insert brought new values ("c" at 0, "d" at 1); the remove
-        // took the last "a" at 0 and "b" at 1. The planner's statistics
-        // must match a fresh build all the same.
+        assert_equals_fresh_build(&patched, &db);
+        let patched_ix = patched.database_index(&db).relation(RelName::new("R"));
         assert!(patched_ix
+            .unwrap()
             .matching(0, prov_storage::Value::new("a"))
             .is_empty());
-        for pos in 0..patched_col.arity() {
-            assert_eq!(
-                patched_ix.distinct(pos),
-                fresh_ix.distinct(pos),
-                "position {pos}"
-            );
-        }
-        for row in 0..patched_col.len() {
-            for pos in 0..patched_col.arity() {
-                let v = patched_col.value(row, pos);
-                assert_eq!(patched_ix.matching(pos, v), fresh_ix.matching(pos, v));
-            }
-        }
     }
 
     #[test]
@@ -355,6 +351,169 @@ mod tests {
         cache.patch(&db, from, &events);
         cache.views(&db);
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
+    }
+
+    /// Both views built, as the batched pipeline leaves them.
+    fn warm(cache: &IndexCache, db: &Database) -> Arc<EvalViews> {
+        let views = cache.views(db);
+        views.database_index(db);
+        views.columnar(db);
+        views
+    }
+
+    /// Asserts that `views` equal a fresh build of `db`: columnar views
+    /// and posting lists, hence also the per-position distinct counts. A
+    /// fresh build follows `Relation::iter`, so this pins the row order.
+    fn assert_equals_fresh_build(views: &EvalViews, db: &Database) {
+        let fresh = EvalViews::new(db);
+        for relation in db.relations() {
+            let rel = relation.name();
+            assert_eq!(
+                views.columnar(db).relation(rel),
+                fresh.columnar(db).relation(rel),
+                "{rel} columns"
+            );
+            assert_eq!(
+                views.database_index(db).relation(rel),
+                fresh.database_index(db).relation(rel),
+                "{rel} posting lists"
+            );
+        }
+    }
+
+    #[test]
+    fn held_views_keep_their_generation_across_a_patch() {
+        let mut db = sample();
+        let cache = IndexCache::new();
+        let held = warm(&cache, &db);
+        let rel = RelName::new("R");
+        let old_gen = held.generation();
+        let old_ix = held.database_index(&db).relation(rel).unwrap().clone();
+        let old_col = held.columnar(&db).relation(rel).unwrap().clone();
+
+        let from = db.generation();
+        db.remove(rel, &Tuple::of(&["a", "b"]));
+        db.add("R", &["c", "d"], "ch1");
+        cache.patch(&db, from, db.deltas_since(from).unwrap());
+
+        // The holder still answers for its own generation, untouched.
+        assert_eq!(held.generation(), old_gen);
+        assert_eq!(held.index.get().unwrap().relation(rel), Some(&old_ix));
+        assert_eq!(held.columnar.get().unwrap().relation(rel), Some(&old_col));
+        // The cache serves the new generation, from a copy.
+        let current = cache.views(&db);
+        assert!(!Arc::ptr_eq(&held, &current));
+        assert_eq!(current.generation(), db.generation());
+        assert_equals_fresh_build(&current, &db);
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn unshared_entry_is_patched_in_place() {
+        let mut db = sample();
+        let cache = IndexCache::new();
+        let before = Arc::as_ptr(&warm(&cache, &db));
+        // Writer path: `IndexCache::patch` with no outside holder.
+        let from = db.generation();
+        db.remove(RelName::new("R"), &Tuple::of(&["a", "b"]));
+        cache.patch(&db, from, db.deltas_since(from).unwrap());
+        let patched = cache.views(&db);
+        assert_eq!(Arc::as_ptr(&patched), before, "patch must not copy");
+        drop(patched);
+        // Reader path: the roll-forward inside `IndexCache::views`.
+        db.add("R", &["c", "d"], "ip1");
+        let rolled = cache.views(&db);
+        assert_eq!(Arc::as_ptr(&rolled), before, "roll-forward must not copy");
+        assert!(Arc::ptr_eq(&rolled, &cache.views(&db)));
+        assert_equals_fresh_build(&rolled, &db);
+        assert_eq!(cache.stats(), CacheStats { hits: 3, misses: 1 });
+    }
+
+    #[test]
+    fn unfinishable_patch_leaves_no_entry() {
+        let rel = RelName::new("R");
+        // Only one of the two views built: a removal cannot be replayed.
+        for build_index in [true, false] {
+            let mut db = sample();
+            let cache = IndexCache::new();
+            let views = cache.views(&db);
+            if build_index {
+                views.database_index(&db);
+            } else {
+                views.columnar(&db);
+            }
+            drop(views);
+            let from = db.generation();
+            db.remove(rel, &Tuple::of(&["a", "b"]));
+            cache.patch(&db, from, db.deltas_since(from).unwrap());
+            assert!(
+                cache.entry.lock().unwrap().is_none(),
+                "no half-patched entry"
+            );
+            assert_equals_fresh_build(&cache.views(&db), &db);
+            assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
+        }
+    }
+
+    /// A tiny deterministic LCG driving the mutation scripts below.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn patched_views_equal_a_fresh_build(
+            seed in 0u64..1_000_000,
+            initial in 0usize..4,
+            batches in 1usize..24,
+        ) {
+            let mut rng = seed;
+            let mut fresh_tag = 0u32;
+            let mut tag = || {
+                fresh_tag += 1;
+                Annotation::new(&format!("pv{seed}_{fresh_tag}"))
+            };
+            // A 3-value domain empties posting lists often; a few initial
+            // rows make removing the only row and the last row common.
+            let value = |rng: &mut u64| format!("v{}", lcg(rng) % 3);
+            let mut db = Database::new();
+            for _ in 0..initial {
+                let t = Tuple::of(&[&value(&mut rng), &value(&mut rng)]);
+                db.insert(RelName::new("R"), t, tag());
+            }
+            let cache = IndexCache::new();
+            drop(warm(&cache, &db));
+            for _ in 0..batches {
+                let from = db.generation();
+                for _ in 0..1 + lcg(&mut rng) % 3 {
+                    // `T` only ever appears through an insert.
+                    let rel = RelName::new(if lcg(&mut rng).is_multiple_of(4) { "T" } else { "R" });
+                    let len = db.relation(rel).map_or(0, |r| r.len());
+                    if len > 0 && lcg(&mut rng).is_multiple_of(2) {
+                        let row = lcg(&mut rng) as usize % len;
+                        let tuple = db.relation(rel).unwrap().row(row).0.clone();
+                        db.remove(rel, &tuple);
+                    } else if rel.name() == "T" {
+                        db.insert(rel, Tuple::of(&[&value(&mut rng)]), tag());
+                    } else {
+                        let t = Tuple::of(&[&value(&mut rng), &value(&mut rng)]);
+                        db.insert(rel, t, tag());
+                    }
+                }
+                // Alternate the writer's patch and the reader's roll-forward.
+                if lcg(&mut rng).is_multiple_of(2) {
+                    cache.patch(&db, from, db.deltas_since(from).unwrap());
+                }
+                let views = cache.views(&db);
+                prop_assert_eq!(cache.stats().misses, 1, "patched, never rebuilt");
+                assert_equals_fresh_build(&views, &db);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! keeps them keyed by the database's generation stamp and shares them
 //! across evaluations, UCQ disjuncts, and worker threads. Row ids match
 //! [`prov_storage::Relation::row`] / [`prov_storage::ColumnarRelation`]
-//! insertion order.
+//! row order, and a mutation patches all three in step: an insert appends
+//! a row, a removal moves the last row into the freed slot.
 
 use std::collections::HashMap;
 
@@ -20,7 +21,7 @@ use prov_storage::{Database, RelName, Relation, Value};
 /// indices whose tuple has `value` at `position`. The per-position maps
 /// double as the join planner's statistics: a position's distinct-value
 /// count is its map's size, exact after every append and removal.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RelationIndex {
     len: usize,
     posting: Vec<HashMap<Value, Vec<u32>>>,
@@ -92,22 +93,51 @@ impl RelationIndex {
         self.len += 1;
     }
 
-    /// Removes row `row`, shifting every later row id down by one — the
-    /// same reindexing [`Relation::remove`] performs. Posting lists stay
-    /// sorted because they were sorted by construction; a value whose
-    /// last row goes is dropped from its map.
-    pub fn remove_row(&mut self, row: usize) {
+    /// The row whose tuple is `values` and for which `is_row` holds (the
+    /// caller checks the annotation column), found through the shortest
+    /// of the tuple's posting lists rather than a scan of the relation.
+    /// A nullary relation has no posting lists, and at most one row.
+    pub(crate) fn find_row(
+        &self,
+        values: &[Value],
+        is_row: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        let shortest = values
+            .iter()
+            .enumerate()
+            .map(|(pos, &value)| self.matching(pos, value))
+            .min_by_key(|rows| rows.len());
+        match shortest {
+            Some(rows) => rows.iter().map(|&r| r as usize).find(|&r| is_row(r)),
+            None => (0..self.len).find(|&r| is_row(r)),
+        }
+    }
+
+    /// Removes row `row`, whose tuple is `removed`, and renames the last
+    /// row, whose tuple is `moved`, to `row` — the same swap
+    /// [`Relation::remove`] performs. Touches only the posting lists of
+    /// those two tuples' values: a binary-searched removal, then a pop of
+    /// the old last id plus a sorted insert, so every list stays sorted.
+    /// A value whose list empties leaves its map.
+    pub(crate) fn swap_remove_row(&mut self, row: usize, removed: &[Value], moved: &[Value]) {
         let row = row as u32;
-        for map in &mut self.posting {
-            for posting in map.values_mut() {
-                posting.retain(|&r| r != row);
-                for r in posting.iter_mut() {
-                    if *r > row {
-                        *r -= 1;
-                    }
-                }
+        let last = (self.len - 1) as u32;
+        for (map, value) in self.posting.iter_mut().zip(removed) {
+            let posting = map.get_mut(value).expect("removed row is indexed");
+            let at = posting.binary_search(&row).expect("removed row is listed");
+            posting.remove(at);
+            if posting.is_empty() {
+                map.remove(value);
             }
-            map.retain(|_, posting| !posting.is_empty());
+        }
+        if row != last {
+            for (map, value) in self.posting.iter_mut().zip(moved) {
+                let posting = map.get_mut(value).expect("moved row is indexed");
+                debug_assert_eq!(posting.last(), Some(&last), "last row sorts last");
+                posting.pop();
+                let at = posting.partition_point(|&r| r < row);
+                posting.insert(at, row);
+            }
         }
         self.len -= 1;
     }
@@ -142,12 +172,9 @@ impl DatabaseIndex {
         self.by_relation.entry(rel).or_default().push_row(values);
     }
 
-    /// Removes row `row` from `rel`'s index (no-op if the relation has no
-    /// index). See [`RelationIndex::remove_row`].
-    pub fn remove_row(&mut self, rel: RelName, row: usize) {
-        if let Some(index) = self.by_relation.get_mut(&rel) {
-            index.remove_row(row);
-        }
+    /// The index for `rel` for patching in place, if the relation exists.
+    pub(crate) fn relation_mut(&mut self, rel: RelName) -> Option<&mut RelationIndex> {
+        self.by_relation.get_mut(&rel)
     }
 }
 
@@ -206,17 +233,38 @@ mod tests {
             RelName::new("R"),
             db.relation(RelName::new("R")).unwrap().row(3).0.values(),
         );
-        // Remove the middle row (row id 1 = ("a","c")): later ids shift.
-        db.remove(RelName::new("R"), &Tuple::of(&["a", "c"]));
-        idx.remove_row(RelName::new("R"), 1);
-        // Then ("a","b"), the last row carrying "a" at 0 and "b" at 1.
-        db.remove(RelName::new("R"), &Tuple::of(&["a", "b"]));
-        idx.remove_row(RelName::new("R"), 0);
+        let rel = RelName::new("R");
+        let values = |vs: &[&str]| -> Vec<Value> { vs.iter().map(|v| Value::new(v)).collect() };
+        // The row of a tuple, found through its shortest posting list and
+        // checked against the (not yet mutated) relation.
+        let find = |idx: &DatabaseIndex, db: &Database, vs: &[&str]| {
+            let tuple = Tuple::of(vs);
+            let relation = db.relation(rel).unwrap();
+            idx.relation(rel)
+                .unwrap()
+                .find_row(tuple.values(), |row| relation.row(row).0 == tuple)
+        };
+        // Remove the middle row (row id 1 = ("a","c")): the last row
+        // ("c","d") moves into its slot, as in the relation.
+        assert_eq!(find(&idx, &db, &["a", "c"]), Some(1));
+        db.remove(rel, &Tuple::of(&["a", "c"]));
+        let r = idx.relation_mut(rel).unwrap();
+        r.swap_remove_row(1, &values(&["a", "c"]), &values(&["c", "d"]));
+        assert_eq!(r.matching(0, Value::new("c")), &[1]);
+        // Then ("a","b"), the last row carrying "a" at 0 and "b" at 1;
+        // ("b","c") moves from row 2 to row 0.
+        assert_eq!(find(&idx, &db, &["a", "b"]), Some(0));
+        db.remove(rel, &Tuple::of(&["a", "b"]));
+        let r = idx.relation_mut(rel).unwrap();
+        r.swap_remove_row(0, &values(&["a", "b"]), &values(&["b", "c"]));
+        assert_eq!(r.matching(1, Value::new("c")), &[0]);
+        assert_eq!(find(&idx, &db, &["a", "b"]), None);
         db.add("S", &["q"], "ix5");
         idx.push_row(RelName::new("S"), &[Value::new("q")]);
 
         let rebuilt = DatabaseIndex::build(&db);
-        let r = idx.relation(RelName::new("R")).unwrap();
+        let r = idx.relation(rel).unwrap();
+        assert_eq!(r, rebuilt.relation(rel).unwrap());
         assert!(r.matching(0, Value::new("a")).is_empty());
         assert_eq!((r.distinct(0), r.distinct(1)), (2, 2));
         for relation in db.relations() {

@@ -420,6 +420,7 @@ fn apply_deltas(
                 let pass = DeltaPass {
                     pinned: j,
                     row: event.annotation,
+                    values: event.tuple.values(),
                     before: &exclude_from,
                     after: &exclude_after,
                 };

@@ -14,8 +14,9 @@
 //! the output boundary. Views are plain owned data and therefore freely
 //! borrowable by worker threads.
 //!
-//! Row order is insertion order, matching [`Relation::iter`]/[`Relation::row`],
-//! so row indices are interchangeable between a relation, its posting-list
+//! Row order matches [`Relation::iter`]/[`Relation::row`] — insertion
+//! order, with each removal moving the last row into the freed slot — so
+//! row indices are interchangeable between a relation, its posting-list
 //! indexes, and its columnar view.
 
 use std::collections::HashMap;
@@ -137,18 +138,16 @@ impl ColumnarRelation {
         self.len += 1;
     }
 
-    /// Removes the row tagged `annotation`, shifting later rows down by
-    /// one — the same reindexing [`Relation::remove`] performs, keeping
-    /// row ids interchangeable. Returns the removed row id, or `None` if
-    /// no row carries the annotation.
-    pub fn remove_row(&mut self, annotation: Annotation) -> Option<usize> {
-        let row = self.annotations.iter().position(|&a| a == annotation)?;
+    /// Removes row `row` in O(arity), moving the last row into its slot —
+    /// the same swap [`Relation::remove`] performs, keeping row ids
+    /// interchangeable. Returns the removed row's annotation. Panics if
+    /// `row` is out of range.
+    pub fn swap_remove_row(&mut self, row: usize) -> Annotation {
         for column in &mut self.columns {
-            column.remove(row);
+            column.swap_remove(row);
         }
-        self.annotations.remove(row);
         self.len -= 1;
-        Some(row)
+        self.annotations.swap_remove(row)
     }
 }
 
@@ -184,10 +183,10 @@ impl ColumnarDatabase {
             .push_row(tuple, annotation);
     }
 
-    /// Removes the row of `rel` tagged `annotation` (see
-    /// [`ColumnarRelation::remove_row`]). Returns the removed row id.
-    pub fn remove_row(&mut self, rel: RelName, annotation: Annotation) -> Option<usize> {
-        self.by_relation.get_mut(&rel)?.remove_row(annotation)
+    /// The columnar view of `rel` for patching in place, if the relation
+    /// exists.
+    pub fn relation_mut(&mut self, rel: RelName) -> Option<&mut ColumnarRelation> {
+        self.by_relation.get_mut(&rel)
     }
 
     /// Iterates all columnar views.
@@ -286,11 +285,16 @@ mod tests {
             &Tuple::of(&["c", "d"]),
             Annotation::new("col_5"),
         );
+        // Removing middle row 1 ("a","c") moves the last row ("c","d")
+        // into its slot, in the relation and in the view alike.
         db.remove(RelName::new("R"), &Tuple::of(&["a", "c"]));
-        assert_eq!(
-            views.remove_row(RelName::new("R"), Annotation::new("col_2")),
-            Some(1)
-        );
+        let r = views.relation_mut(RelName::new("R")).unwrap();
+        assert_eq!(r.swap_remove_row(1), Annotation::new("col_2"));
+        assert_eq!(r.value(1, 0), Value::new("c"));
+        assert_eq!(r.annotations()[1], Annotation::new("col_5"));
+        // Removing the last row moves nothing.
+        db.remove(RelName::new("R"), &Tuple::of(&["b", "c"]));
+        assert_eq!(r.swap_remove_row(2), Annotation::new("col_3"));
         db.add("T", &["q", "r", "s"], "col_6");
         views.push_row(
             RelName::new("T"),
@@ -306,9 +310,21 @@ mod tests {
                 relation.name()
             );
         }
+        assert!(views.relation_mut(RelName::new("Nope")).is_none());
+    }
+
+    #[test]
+    fn swap_removing_the_only_row_keeps_an_empty_view() {
+        let mut db = sample();
+        let mut views = ColumnarDatabase::from_database(&db);
+        db.remove(RelName::new("S"), &Tuple::of(&["x"]));
+        let s = views.relation_mut(RelName::new("S")).unwrap();
+        assert_eq!(s.swap_remove_row(0), Annotation::new("col_4"));
+        assert!(s.is_empty());
+        assert_eq!(s.arity(), 1);
         assert_eq!(
-            views.remove_row(RelName::new("R"), Annotation::new("nope")),
-            None
+            views.relation(RelName::new("S")),
+            ColumnarDatabase::from_database(&db).relation(RelName::new("S"))
         );
     }
 

@@ -87,24 +87,28 @@ impl Relation {
         self.index.get(tuple).map(|&i| self.rows[i].1)
     }
 
-    /// Iterates `(tuple, annotation)` rows in insertion order.
+    /// Iterates `(tuple, annotation)` rows in row order: insertion order,
+    /// except that each removal moved the then-last row into the freed
+    /// slot (see [`Relation::remove`]).
     pub fn iter(&self) -> impl Iterator<Item = &(Tuple, Annotation)> {
         self.rows.iter()
     }
 
-    /// The `i`-th row in insertion order. Panics if out of range.
+    /// The `i`-th row in row order. Panics if out of range.
     pub fn row(&self, i: usize) -> &(Tuple, Annotation) {
         &self.rows[i]
     }
 
     /// Removes `tuple`, returning its annotation (for deletion-propagation
-    /// scenarios).
+    /// scenarios). O(1): the last row moves into the removed row's slot
+    /// (`Vec::swap_remove`), so only that one row changes id. Columnar
+    /// views and posting-list indexes patched by the same removal apply
+    /// the same swap, keeping row ids interchangeable.
     pub fn remove(&mut self, tuple: &Tuple) -> Option<Annotation> {
         let i = self.index.remove(tuple)?;
-        let (_, annotation) = self.rows.remove(i);
-        // Reindex the suffix that shifted down.
-        for (j, (t, _)) in self.rows.iter().enumerate().skip(i) {
-            self.index.insert(t.clone(), j);
+        let (_, annotation) = self.rows.swap_remove(i);
+        if let Some((moved, _)) = self.rows.get(i) {
+            *self.index.get_mut(moved).expect("moved row is indexed") = i;
         }
         Some(annotation)
     }
@@ -169,10 +173,25 @@ mod tests {
         let a = r.insert_fresh(Tuple::of(&["a"]));
         let _b = r.insert_fresh(Tuple::of(&["b"]));
         let c = r.insert_fresh(Tuple::of(&["c"]));
+        let d = r.insert_fresh(Tuple::of(&["d"]));
+        // Removing a middle row moves the last row ("d") into its slot.
         assert!(r.remove(&Tuple::of(&["b"])).is_some());
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.len(), 3);
+        let order: Vec<&Tuple> = r.iter().map(|(t, _)| t).collect();
+        assert_eq!(
+            order,
+            [&Tuple::of(&["a"]), &Tuple::of(&["d"]), &Tuple::of(&["c"])]
+        );
         assert_eq!(r.annotation_of(&Tuple::of(&["a"])), Some(a));
         assert_eq!(r.annotation_of(&Tuple::of(&["c"])), Some(c));
+        assert_eq!(r.annotation_of(&Tuple::of(&["d"])), Some(d));
         assert_eq!(r.remove(&Tuple::of(&["b"])), None);
+        // The moved row is reachable at its new id; removing the last
+        // row moves nothing.
+        assert_eq!(r.remove(&Tuple::of(&["d"])), Some(d));
+        assert_eq!(r.remove(&Tuple::of(&["c"])), Some(c));
+        assert_eq!(r.row(0), &(Tuple::of(&["a"]), a));
+        assert_eq!(r.remove(&Tuple::of(&["a"])), Some(a));
+        assert!(r.is_empty());
     }
 }

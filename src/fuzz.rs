@@ -17,6 +17,8 @@
 //!   whole insert/delete interleaving and must stay bit-identical to
 //!   the oracle at every observation point — the
 //!   delta ⊕-join and deletion-propagation paths of `docs/CACHE.md`.
+//!   Every other observation also drops the cached results and evaluates
+//!   in full over the views `apply_mutation` patched in place.
 //! * **Semirings** — specializing the `N[X]` result through a valuation
 //!   must agree with [`eval_in_semiring`] for the scenario's semiring
 //!   (the homomorphism property the polynomials are universal for).
@@ -305,6 +307,21 @@ fn check_mutations(scenario: &Scenario) -> Result<(), String> {
                     incremental.len(),
                     scratch.len(),
                 ));
+            }
+            // Every other observation also runs a full evaluation over the
+            // patched views: dropping the cached results keeps the views.
+            if i % 4 == 3 {
+                session.invalidate_results();
+                let full = session.eval_ucq(query, &db);
+                if *full != scratch {
+                    return Err(format!(
+                        "full evaluation over patched views diverged from from-scratch \
+                         after mutation step {i} (of {}) on {query}: {} vs {} tuples",
+                        scenario.mutations.len(),
+                        full.len(),
+                        scratch.len(),
+                    ));
+                }
             }
         }
     }
