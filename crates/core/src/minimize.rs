@@ -12,9 +12,11 @@
 //!   a materialized exponential set;
 //! * **memoization** — candidates are deduped by canonical form
 //!   ([`prov_query::canonical::canonical_key`]) before any homomorphism
-//!   search runs, and containment verdicts are cached per key pair
-//!   ([`prov_query::memo::HomMemo`]); inputs with at most 32 candidate
-//!   completions are not keyed, as keying would cost more than it saves;
+//!   search runs; inputs with at most 32 candidate completions are not
+//!   keyed, as keying would cost more than it saves;
+//! * **one compiled kernel** — each disjunct is compiled once
+//!   ([`CompiledQuery`]) and every containment check runs the
+//!   homomorphism kernel on the compiled pair;
 //! * **dominance pruning** — a candidate subsumed by an already-accepted
 //!   disjunct is skipped (after a cheap relation-signature pre-check)
 //!   before the expensive check; accepted disjuncts subsumed by a new
@@ -35,10 +37,11 @@
 //! [`crate::minprov::minprov_trace`], the oracle the engine's tests
 //! compare against.
 
+use std::collections::{BTreeSet, HashSet};
 use std::time::{Duration, Instant};
 
-use prov_query::canonical::{bell_number, completions_iter};
-use prov_query::memo::{HomMemo, MemoStats};
+use prov_query::canonical::{bell_number, canonical_key, completions_iter, CanonicalKey};
+use prov_query::homomorphism::CompiledQuery;
 use prov_query::{ConjunctiveQuery, UnionQuery};
 
 use crate::standard::{minimize_complete_unchecked, minimize_cq, prune_contained};
@@ -231,18 +234,30 @@ pub struct MinimizeStats {
     pub dominance_skips: u64,
     /// Accepted disjuncts evicted by a later, more general candidate.
     pub accepted_evictions: u64,
-    /// Containment checks that went past the cheap pre-check (memoized or
-    /// searched).
+    /// Containment checks that went past the cheap pre-check (each one
+    /// homomorphism search).
     pub hom_checks: u64,
+    /// Candidates keyed by canonical form (zero on inputs too small to
+    /// key).
+    pub keyed_candidates: u64,
 }
 
 /// An accepted/candidate disjunct with its precomputed containment-check
-/// state (relation signature, variable count, interned canonical-key id).
+/// state: relation signature and the query compiled for the kernel.
 struct Disjunct {
     query: ConjunctiveQuery,
-    relations: std::collections::BTreeSet<prov_storage::RelName>,
-    num_vars: usize,
-    key_id: Option<u64>,
+    relations: BTreeSet<prov_storage::RelName>,
+    compiled: CompiledQuery,
+}
+
+impl Disjunct {
+    fn new(query: ConjunctiveQuery) -> Self {
+        Disjunct {
+            relations: query.atoms().iter().map(|a| a.relation).collect(),
+            compiled: CompiledQuery::new(&query),
+            query,
+        }
+    }
 }
 
 /// Candidate spaces at or below this many completions are not keyed:
@@ -262,14 +277,10 @@ fn candidate_estimate(q: &UnionQuery) -> u64 {
         .fold(0, u64::saturating_add)
 }
 
-/// The unified minimization engine. Its memo tables live as long as the
-/// engine, so repeated calls on one `Minimizer` reuse canonicalization
-/// and containment verdicts; [`minimize_with`] (what the CLI and the
-/// server's `/minimize` call) builds a fresh engine per query.
+/// The unified minimization engine; its counters accumulate across calls.
 #[derive(Debug, Default)]
 pub struct Minimizer {
     options: MinimizeOptions,
-    memo: HomMemo,
     stats: MinimizeStats,
     /// Whether the current call keys candidates by canonical form: off
     /// for inputs whose candidate estimate is at most
@@ -294,11 +305,6 @@ impl Minimizer {
     /// Cumulative work counters.
     pub fn stats(&self) -> MinimizeStats {
         self.stats
-    }
-
-    /// Cumulative memo counters.
-    pub fn memo_stats(&self) -> MemoStats {
-        self.memo.stats()
     }
 
     /// Minimizes `q` under the engine's strategy and budget.
@@ -359,19 +365,17 @@ impl Minimizer {
         let deadline = self.options.budget.max_duration.map(|d| started + d);
         let mut steps_used = 0u64;
 
-        // Accepted disjuncts with their precomputed relation signature and
-        // (on keyed runs) interned canonical-key id — computed once per
-        // disjunct, not once per containment check.
-        let mut accepted: Vec<Disjunct> = accepted_seed
-            .into_iter()
-            .map(|a| self.make_disjunct(a))
-            .collect();
-        // Interned key ids of every candidate processed so far (rebuilt
-        // from the accepted seed on resume; skipped-candidate ids are
-        // covered by the dominance check, so this is an optimization, not
-        // state).
-        let mut seen: std::collections::BTreeSet<u64> =
-            accepted.iter().filter_map(|d| d.key_id).collect();
+        // Canonical keys of every candidate processed so far on keyed runs
+        // (rebuilt from the accepted seed on resume; skipped candidates
+        // are covered by the dominance check, so this is an optimization,
+        // not state).
+        let mut seen: HashSet<CanonicalKey> = HashSet::new();
+        if self.keyed {
+            seen.extend(accepted_seed.iter().map(canonical_key));
+        }
+        // Accepted disjuncts with their precomputed containment-check
+        // state — computed once per disjunct, not once per check.
+        let mut accepted: Vec<Disjunct> = accepted_seed.into_iter().map(Disjunct::new).collect();
 
         for ai in cursor.adjunct..q.adjuncts().len() {
             let adjunct = &q.adjuncts()[ai];
@@ -418,16 +422,18 @@ impl Minimizer {
 
                 // Step II (Lemma 3.13): minimize the complete candidate by
                 // atom dedup.
-                let cand = self.make_disjunct(minimize_complete_unchecked(&completion.query));
+                let cand = minimize_complete_unchecked(&completion.query);
 
                 // Memoized canonical-form dedup: isomorphic to an earlier
                 // candidate ⇒ nothing new, zero hom searches.
-                if let Some(id) = cand.key_id {
-                    if !seen.insert(id) {
+                if self.keyed {
+                    self.stats.keyed_candidates += 1;
+                    if !seen.insert(canonical_key(&cand)) {
                         self.stats.memo_dedup_skips += 1;
                         continue;
                     }
                 }
+                let cand = Disjunct::new(cand);
 
                 // Step III, streaming: skip the candidate if subsumed
                 // by an accepted disjunct ...
@@ -455,29 +461,18 @@ impl Minimizer {
         }
 
         let accepted: Vec<ConjunctiveQuery> = accepted.into_iter().map(|d| d.query).collect();
-        let output = UnionQuery::new(accepted).expect("minimization keeps at least one disjunct");
-        MinimizeOutcome::Complete(output.dedup_isomorphic())
-    }
-
-    /// Precomputes a disjunct's containment-check state: its relation
-    /// signature (for the cheap subsumption pre-check) and, on keyed
-    /// runs, its interned canonical-key id.
-    fn make_disjunct(&mut self, query: ConjunctiveQuery) -> Disjunct {
-        let relations: std::collections::BTreeSet<_> =
-            query.atoms().iter().map(|a| a.relation).collect();
-        let num_vars = query.variables().len();
-        let key_id = self.keyed.then(|| self.memo.key_id(&query));
-        Disjunct {
-            relations,
-            num_vars,
-            key_id,
-            query,
-        }
+        // No accepted disjunct contains another: a candidate is accepted
+        // only if no accepted disjunct contains it, and it evicts every
+        // one it contains. Isomorphic queries contain each other, so the
+        // output has no isomorphic duplicates to remove.
+        MinimizeOutcome::Complete(
+            UnionQuery::new(accepted).expect("minimization keeps at least one disjunct"),
+        )
     }
 
     /// Containment `small ⊆ big` between completions (Theorem 3.1:
     /// existence of a homomorphism `big → small`), behind two cheap
-    /// dominance pre-checks and the canonical-key memo.
+    /// dominance pre-checks.
     fn contains(&mut self, big: &Disjunct, small: &Disjunct, num_consts: usize) -> bool {
         // Pre-check 1: a homomorphism maps every atom of `big` to an atom
         // of `small` over the same relation, so `big`'s relation set must
@@ -489,17 +484,11 @@ impl Minimizer {
         // any homomorphism out of it is injective on variables (disequal
         // variables need disequal images) — impossible when `big` has more
         // variables than `small` has terms to offer.
-        if big.num_vars > small.num_vars + num_consts {
+        if big.compiled.num_vars() > small.compiled.num_vars() + num_consts {
             return false;
         }
         self.stats.hom_checks += 1;
-        match (big.key_id, small.key_id) {
-            (Some(big_id), Some(small_id)) => {
-                self.memo
-                    .hom_exists_interned(&big.query, big_id, &small.query, small_id)
-            }
-            _ => prov_query::homomorphism::homomorphism_exists(&big.query, &small.query),
-        }
+        big.compiled.maps_to(&small.compiled)
     }
 
     /// The PTIME strategies: minimize each adjunct with `minimize_adjunct`
@@ -513,16 +502,16 @@ impl Minimizer {
         q: &UnionQuery,
         minimize_adjunct: fn(&ConjunctiveQuery) -> ConjunctiveQuery,
     ) -> UnionQuery {
-        let minimized: Vec<ConjunctiveQuery> = q.adjuncts().iter().map(minimize_adjunct).collect();
+        let minimized = q
+            .adjuncts()
+            .iter()
+            .map(|a| Disjunct::new(minimize_adjunct(a)))
+            .collect();
         let kept = prune_contained(minimized, |small, big| {
             self.stats.hom_checks += 1;
-            if self.keyed {
-                self.memo.hom_exists(big, small)
-            } else {
-                prov_query::homomorphism::homomorphism_exists(big, small)
-            }
+            big.compiled.maps_to(&small.compiled)
         });
-        UnionQuery::new(kept)
+        UnionQuery::new(kept.into_iter().map(|d| d.query).collect())
             .expect("pruning keeps at least one adjunct")
             .dedup_isomorphic()
     }
@@ -536,7 +525,8 @@ fn partial_best(accepted: &[ConjunctiveQuery], rest: &[ConjunctiveQuery]) -> Uni
     UnionQuery::new(adjuncts).expect("input has at least one adjunct")
 }
 
-/// Convenience: one-shot minimization with fresh memo tables.
+/// Convenience: one-shot minimization on a fresh engine (what the CLI and
+/// the server's `/minimize` call).
 pub fn minimize_with(
     q: &UnionQuery,
     options: MinimizeOptions,
@@ -711,20 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_amortizes_memo_across_queries() {
-        let mut engine = Minimizer::new(MinimizeOptions::default());
-        let q = UnionQuery::single(qn_family(3));
-        engine.minimize(&q).unwrap();
-        let misses_first = engine.memo_stats().hom_misses;
-        engine.minimize(&q).unwrap();
-        assert_eq!(
-            engine.memo_stats().hom_misses,
-            misses_first,
-            "second run of the same query must be fully served by the memo"
-        );
-    }
-
-    #[test]
     fn tiny_inputs_skip_keying() {
         // Regression for the ~80 µs fixed overhead on minprov_blowup/qn/2:
         // tiny inputs must not pay per-candidate canonical keying.
@@ -732,11 +708,11 @@ mod tests {
         assert!(candidate_estimate(&tiny) <= TINY_CANDIDATE_THRESHOLD);
         let mut engine = Minimizer::new(MinimizeOptions::default());
         let out = engine.minimize(&tiny).unwrap().into_query();
-        let memo = engine.memo_stats();
         assert_eq!(
-            (memo.key_hits, memo.key_misses),
-            (0, 0),
-            "tiny input must skip canonical keying entirely: {memo:?}"
+            engine.stats().keyed_candidates,
+            0,
+            "tiny input must skip canonical keying entirely: {:?}",
+            engine.stats()
         );
         assert_eq!(engine.stats().memo_dedup_skips, 0);
         assert!(out.adjunct_wise_isomorphic(&minprov_trace(&tiny).output));
@@ -747,20 +723,45 @@ mod tests {
         assert!(candidate_estimate(&large) > TINY_CANDIDATE_THRESHOLD);
         let mut engine = Minimizer::new(MinimizeOptions::default());
         engine.minimize(&large).unwrap();
-        assert!(
-            engine.memo_stats().key_misses > 0,
-            "large input must memoize"
-        );
+        assert_eq!(engine.stats().keyed_candidates, 203, "large input must key");
         assert!(engine.stats().memo_dedup_skips > 0);
     }
 
     #[test]
-    fn output_carries_no_isomorphic_duplicates() {
-        let q = parse_cq("ans() :- R(x,y), R(y,z), R(z,x)").unwrap();
-        let out = minimize_with(&UnionQuery::single(q), MinimizeOptions::default())
+    fn q3_work_counts_are_pinned() {
+        // Every decision of a `/minimize` of Q_3, counted: the kernel and
+        // the integer keys change what a step costs, never what it does.
+        let mut engine = Minimizer::new(MinimizeOptions::default());
+        let out = engine
+            .minimize(&UnionQuery::single(qn_family(3)))
             .unwrap()
             .into_query();
-        let deduped = out.dedup_isomorphic();
-        assert_eq!(out.len(), deduped.len());
+        assert_eq!(out.len(), 66);
+        assert_eq!(
+            engine.stats(),
+            MinimizeStats {
+                steps: 203,
+                memo_dedup_skips: 137,
+                dominance_skips: 0,
+                accepted_evictions: 0,
+                hom_checks: 2734,
+                keyed_candidates: 203,
+            }
+        );
+    }
+
+    #[test]
+    fn output_carries_no_isomorphic_duplicates() {
+        // An unkeyed input (5 candidates) and a keyed one (Q_3): neither
+        // run dedups at the end; step III leaves no disjunct containing
+        // another.
+        let triangle = parse_cq("ans() :- R(x,y), R(y,z), R(z,x)").unwrap();
+        for q in [triangle, qn_family(3)] {
+            let out = minimize_with(&UnionQuery::single(q), MinimizeOptions::default())
+                .unwrap()
+                .into_query();
+            let deduped = out.dedup_isomorphic();
+            assert_eq!(out.len(), deduped.len());
+        }
     }
 }

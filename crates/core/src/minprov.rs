@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 
 use prov_query::canonical::canonical_rewriting_union;
-use prov_query::homomorphism::find_homomorphism;
+use prov_query::homomorphism::CompiledQuery;
 use prov_query::{ConjunctiveQuery, UnionQuery};
 
 use crate::standard::{minimize_complete_unchecked, prune_contained};
@@ -60,11 +60,16 @@ pub fn minprov_trace(q: &UnionQuery) -> MinProvTrace {
     // are complete w.r.t. the same constant set, so containment Qj ⊆ Qi is
     // exactly the existence of a homomorphism Qi → Qj (Theorem 3.1).
     let mut containment_checks = 0u64;
-    let kept = prune_contained(minimized_adjuncts, |small, big| {
+    let compiled = minimized_adjuncts
+        .into_iter()
+        .map(|q| (CompiledQuery::new(&q), q))
+        .collect();
+    let kept = prune_contained(compiled, |small, big| {
         containment_checks += 1;
-        find_homomorphism(big, small).is_some()
+        big.0.maps_to(&small.0)
     });
-    let output = UnionQuery::new(kept).expect("step III keeps at least one adjunct");
+    let output = UnionQuery::new(kept.into_iter().map(|(_, q)| q).collect())
+        .expect("step III keeps at least one adjunct");
 
     MinProvTrace {
         input: q.clone(),

@@ -3,7 +3,7 @@
 //! (paper §2.4 Note; Chandra–Merlin \[9\] for CQ, Sagiv–Yannakakis \[26\] for
 //! unions, Lemma 3.13 for complete queries).
 
-use prov_query::homomorphism::find_homomorphism;
+use prov_query::homomorphism::CompiledQuery;
 use prov_query::{Atom, ConjunctiveQuery, UnionQuery};
 
 /// Minimizes a conjunctive query without disequalities by computing its
@@ -18,14 +18,14 @@ pub fn minimize_cq(q: &ConjunctiveQuery) -> ConjunctiveQuery {
     assert!(q.is_cq(), "minimize_cq requires a disequality-free query");
     let mut current = q.clone();
     'outer: loop {
+        let compiled = CompiledQuery::new(&current);
         for i in 0..current.atoms().len() {
-            let Some(candidate) = current.without_atom(i) else {
-                continue;
-            };
             // candidate ⊇ current always (fewer conjuncts); a homomorphism
-            // current → candidate proves candidate ⊆ current, i.e.
-            // equivalence, so the atom is redundant.
-            if find_homomorphism(&current, &candidate).is_some() {
+            // current → candidate — one into current avoiding atom i —
+            // proves candidate ⊆ current, i.e. equivalence, so the atom is
+            // redundant.
+            let redundant = compiled.maps_to_without(&compiled, Some(i));
+            if let Some(candidate) = redundant.then(|| current.without_atom(i)).flatten() {
                 current = candidate;
                 continue 'outer;
             }
@@ -97,10 +97,10 @@ pub fn minimize_ucq(q: &UnionQuery) -> UnionQuery {
 
 /// Keeps a minimal sub-list of adjuncts: drops any adjunct contained in
 /// another surviving adjunct; on mutual containment the earlier one wins.
-pub(crate) fn prune_contained(
-    adjuncts: Vec<ConjunctiveQuery>,
-    mut contained: impl FnMut(&ConjunctiveQuery, &ConjunctiveQuery) -> bool,
-) -> Vec<ConjunctiveQuery> {
+pub(crate) fn prune_contained<T>(
+    adjuncts: Vec<T>,
+    mut contained: impl FnMut(&T, &T) -> bool,
+) -> Vec<T> {
     let n = adjuncts.len();
     let mut alive = vec![true; n];
     for i in 0..n {
@@ -232,7 +232,7 @@ mod tests {
         let a = parse_cq("ans(x) :- R(x,x)").unwrap();
         let b = parse_cq("ans(x) :- R(x,y)").unwrap();
         let kept = prune_contained(vec![a, b.clone()], |small, big| {
-            find_homomorphism(big, small).is_some()
+            prov_query::homomorphism::homomorphism_exists(big, small)
         });
         assert_eq!(kept, vec![b]);
     }

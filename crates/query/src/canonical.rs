@@ -18,7 +18,7 @@ use prov_storage::Value;
 
 use crate::atom::Diseq;
 use crate::cq::ConjunctiveQuery;
-use crate::term::{Term, Variable};
+use crate::term::{Term, Variable, CONST_TAG};
 use crate::ucq::UnionQuery;
 
 /// Streaming enumerator of the set partitions of `n` elements as
@@ -405,23 +405,15 @@ pub fn canonical_rewriting_union(q: &UnionQuery, consts: &BTreeSet<Value>) -> Un
 /// the minimization lattice produces; see [`canonical_key`]).
 ///
 /// Keys are the memoization currency of the minimization engine: candidate
-/// subqueries are deduped by key before any homomorphism search runs, and
-/// containment verdicts are cached per key pair.
+/// subqueries are deduped by key before any homomorphism search runs.
+///
+/// The key is a sequence of integer codes: the head (relation id, arity,
+/// terms), the atom count, the atoms sorted (each relation id, arity,
+/// terms), then the disequalities as sorted pairs of terms. A term is its
+/// variable's number under the canonical labeling, or a constant's
+/// interned id tagged with `1 << 32`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct CanonicalKey(String);
-
-impl CanonicalKey {
-    /// The underlying canonical serialization.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
-
-impl std::fmt::Display for CanonicalKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
+pub struct CanonicalKey(Vec<u64>);
 
 /// Cap on the number of tie-breaking labelings tried while canonicalizing.
 /// Refinement leaves ties only inside automorphism-orbit-like groups, so
@@ -435,14 +427,15 @@ const MAX_LABELINGS: usize = 40_320; // 8!
 ///
 /// Algorithm: iterated color refinement on the variables (signatures built
 /// from atom incidences, head positions, and disequality partners),
-/// followed by a lexicographically-minimal serialization over the
-/// labelings consistent with the refined ordering. Ties after refinement
-/// only occur between symmetric variables, so the backtracking factor is
-/// the automorphism-orbit sizes, not `|Var|!`.
+/// followed by a lexicographically-minimal encoding over the labelings
+/// consistent with the refined ordering. Ties after refinement only occur
+/// between symmetric variables, so the backtracking factor is the
+/// automorphism-orbit sizes, not `|Var|!`.
 pub fn canonical_key(q: &ConjunctiveQuery) -> CanonicalKey {
     let vars: Vec<Variable> = q.variables().into_iter().collect();
+    let encoder = Encoder::new(q, &vars);
     if vars.is_empty() {
-        return CanonicalKey(serialize_with(q, &BTreeMap::new()));
+        return CanonicalKey(encoder.encode(&[]));
     }
     let groups = refine_variable_colors(q, &vars);
 
@@ -453,34 +446,29 @@ pub fn canonical_key(q: &ConjunctiveQuery) -> CanonicalKey {
             labelings = labelings.saturating_mul(k);
         }
     }
+    let mut numbering = vec![0u64; vars.len()];
     if labelings > MAX_LABELINGS {
         // Deterministic fallback labeling: refined group order, then the
         // (stable) variable order within each group.
-        let mut numbering = BTreeMap::new();
-        let mut next = 0usize;
-        for g in &groups {
-            for &v in g {
-                numbering.insert(v, next);
-                next += 1;
-            }
+        for (next, &vi) in groups.iter().flatten().enumerate() {
+            numbering[vi] = next as u64;
         }
-        return CanonicalKey(serialize_with(q, &numbering));
+        return CanonicalKey(encoder.encode(&numbering));
     }
 
     // Backtrack over within-group permutations, keeping the minimal
-    // serialization.
-    let mut best: Option<String> = None;
-    let mut numbering: BTreeMap<Variable, usize> = BTreeMap::new();
-    permute_groups(q, &groups, 0, &mut numbering, 0, &mut best);
+    // encoding.
+    let mut best: Option<Vec<u64>> = None;
+    permute_groups(&encoder, &groups, 0, &mut numbering, 0, &mut best);
     CanonicalKey(best.expect("at least one labeling is always produced"))
 }
 
-/// Iterated color refinement: returns the variables grouped by final
-/// color, groups ordered by color signature. Signatures are flat integer
-/// vectors (interned relation/value ids and current colors), not strings —
-/// canonicalization sits on the minimization engine's per-candidate hot
-/// path.
-fn refine_variable_colors(q: &ConjunctiveQuery, vars: &[Variable]) -> Vec<Vec<Variable>> {
+/// Iterated color refinement: returns the variables (as indices into
+/// `vars`) grouped by final color, groups ordered by color signature.
+/// Signatures are flat integer vectors (interned relation/value ids and
+/// current colors), not strings — canonicalization sits on the
+/// minimization engine's per-candidate hot path.
+fn refine_variable_colors(q: &ConjunctiveQuery, vars: &[Variable]) -> Vec<Vec<usize>> {
     let n = vars.len();
     // `vars` comes from a BTreeSet, so it is sorted: index by binary search.
     let idx_of = |v: Variable| -> usize { vars.binary_search(&v).expect("variable indexed") };
@@ -586,9 +574,9 @@ fn refine_variable_colors(q: &ConjunctiveQuery, vars: &[Variable]) -> Vec<Vec<Va
         color = next;
     }
 
-    let mut groups: BTreeMap<usize, Vec<Variable>> = BTreeMap::new();
-    for (vi, &v) in vars.iter().enumerate() {
-        groups.entry(color[vi]).or_default().push(v);
+    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (vi, &c) in color.iter().enumerate() {
+        groups.entry(c).or_default().push(vi);
     }
     groups.into_values().collect()
 }
@@ -605,41 +593,48 @@ fn rank_signatures(sig: &[Vec<u64>]) -> Vec<usize> {
 }
 
 fn permute_groups(
-    q: &ConjunctiveQuery,
-    groups: &[Vec<Variable>],
+    encoder: &Encoder,
+    groups: &[Vec<usize>],
     gi: usize,
-    numbering: &mut BTreeMap<Variable, usize>,
+    numbering: &mut [u64],
     next_index: usize,
-    best: &mut Option<String>,
+    best: &mut Option<Vec<u64>>,
 ) {
     if gi == groups.len() {
-        let s = serialize_with(q, numbering);
-        if best.as_ref().is_none_or(|b| s < *b) {
-            *best = Some(s);
+        let key = encoder.encode(numbering);
+        if best.as_ref().is_none_or(|b| key < *b) {
+            *best = Some(key);
         }
         return;
     }
     let group = &groups[gi];
     let mut taken = vec![false; group.len()];
     permute_within(
-        q, groups, gi, group, &mut taken, 0, numbering, next_index, best,
+        encoder, groups, gi, &mut taken, 0, numbering, next_index, best,
     );
 }
 
 #[allow(clippy::too_many_arguments)]
 fn permute_within(
-    q: &ConjunctiveQuery,
-    groups: &[Vec<Variable>],
+    encoder: &Encoder,
+    groups: &[Vec<usize>],
     gi: usize,
-    group: &[Variable],
     taken: &mut Vec<bool>,
     slot: usize,
-    numbering: &mut BTreeMap<Variable, usize>,
+    numbering: &mut [u64],
     next_index: usize,
-    best: &mut Option<String>,
+    best: &mut Option<Vec<u64>>,
 ) {
+    let group = &groups[gi];
     if slot == group.len() {
-        permute_groups(q, groups, gi + 1, numbering, next_index + group.len(), best);
+        permute_groups(
+            encoder,
+            groups,
+            gi + 1,
+            numbering,
+            next_index + group.len(),
+            best,
+        );
         return;
     }
     for i in 0..group.len() {
@@ -647,59 +642,84 @@ fn permute_within(
             continue;
         }
         taken[i] = true;
-        numbering.insert(group[i], next_index + slot);
+        numbering[group[i]] = (next_index + slot) as u64;
         permute_within(
-            q,
+            encoder,
             groups,
             gi,
-            group,
             taken,
             slot + 1,
             numbering,
             next_index,
             best,
         );
-        numbering.remove(&group[i]);
         taken[i] = false;
     }
 }
 
-/// Serializes `q` under a concrete variable numbering: head verbatim
-/// (positional), body atoms as a sorted multiset, disequalities as a
-/// sorted set. Equal serializations certify isomorphism.
-fn serialize_with(q: &ConjunctiveQuery, numbering: &BTreeMap<Variable, usize>) -> String {
-    let term = |t: &Term| -> String {
-        match t {
-            Term::Var(v) => format!("v{}", numbering[v]),
-            Term::Const(c) => format!("'{c}'"),
+/// A query's terms as integer codes ([`Term::code`]), ready to encode
+/// under any variable numbering.
+struct Encoder {
+    head: Vec<u64>,
+    /// Per atom: relation id, arity, then the argument codes.
+    atoms: Vec<Vec<u64>>,
+    diseqs: Vec<(u64, u64)>,
+}
+
+impl Encoder {
+    fn new(q: &ConjunctiveQuery, vars: &[Variable]) -> Self {
+        let code = |t: Term| t.code(vars);
+        let atom = |a: &crate::atom::Atom| {
+            let mut codes = vec![u64::from(a.relation.id()), a.arity() as u64];
+            codes.extend(a.args.iter().map(|&t| code(t)));
+            codes
+        };
+        Encoder {
+            head: atom(q.head()),
+            atoms: q.atoms().iter().map(atom).collect(),
+            diseqs: q
+                .diseqs()
+                .iter()
+                .map(|d| (code(Term::Var(d.left())), code(d.right())))
+                .collect(),
         }
-    };
-    let render_atom = |a: &crate::atom::Atom| -> String {
-        let args: Vec<String> = a.args.iter().map(&term).collect();
-        format!("{}({})", a.relation, args.join(","))
-    };
-    let mut atoms: Vec<String> = q.atoms().iter().map(render_atom).collect();
-    atoms.sort_unstable();
-    let mut diseqs: Vec<String> = q
-        .diseqs()
-        .iter()
-        .map(|d| {
-            let (l, r) = d.sides();
-            let (ls, rs) = (term(&l), term(&r));
-            if rs < ls {
-                format!("{rs}!={ls}")
+    }
+
+    /// The key of the query under a concrete variable numbering: head
+    /// verbatim (positional), body atoms as a sorted multiset,
+    /// disequalities as a sorted set. Equal encodings certify isomorphism.
+    fn encode(&self, numbering: &[u64]) -> Vec<u64> {
+        let term = |c: u64| {
+            if c < CONST_TAG {
+                numbering[c as usize]
             } else {
-                format!("{ls}!={rs}")
+                c
             }
-        })
-        .collect();
-    diseqs.sort_unstable();
-    format!(
-        "{}:-{}|{}",
-        render_atom(q.head()),
-        atoms.join(","),
-        diseqs.join(",")
-    )
+        };
+        let relabel = |codes: &[u64]| -> Vec<u64> {
+            codes[..2]
+                .iter()
+                .copied()
+                .chain(codes[2..].iter().map(|&c| term(c)))
+                .collect()
+        };
+        let mut atoms: Vec<Vec<u64>> = self.atoms.iter().map(|a| relabel(a)).collect();
+        atoms.sort_unstable();
+        let mut diseqs: Vec<(u64, u64)> = self
+            .diseqs
+            .iter()
+            .map(|&(l, r)| {
+                let (l, r) = (term(l), term(r));
+                (l.min(r), l.max(r))
+            })
+            .collect();
+        diseqs.sort_unstable();
+        let mut key = relabel(&self.head);
+        key.push(atoms.len() as u64);
+        key.extend(atoms.into_iter().flatten());
+        key.extend(diseqs.into_iter().flat_map(|(l, r)| [l, r]));
+        key
+    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use prov_storage::Value;
 
 use crate::canonical::completions_iter;
 use crate::cq::ConjunctiveQuery;
-use crate::homomorphism::find_homomorphism;
+use crate::homomorphism::{homomorphism_exists, CompiledQuery};
 use crate::ucq::UnionQuery;
 
 /// Containment `q ⊆ q2` for CQ-or-complete left sides, by the homomorphism
@@ -22,7 +22,7 @@ use crate::ucq::UnionQuery;
 /// or `q` is complete w.r.t. the constants of `q2`; otherwise the result
 /// may be a false negative (Example 3.2).
 pub fn contained_via_homomorphism(q: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
-    find_homomorphism(q2, q).is_some()
+    homomorphism_exists(q2, q)
 }
 
 /// Containment of conjunctive queries without disequalities
@@ -44,11 +44,11 @@ pub fn cq_contained_in(q: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
 /// the rest of the exponential rewriting.
 pub fn contained_in(q: &UnionQuery, q2: &UnionQuery) -> bool {
     let consts: BTreeSet<Value> = q.constants().union(&q2.constants()).copied().collect();
+    let sources: Vec<CompiledQuery> = q2.adjuncts().iter().map(CompiledQuery::new).collect();
     q.adjuncts().iter().all(|adj| {
         completions_iter(adj, &consts).all(|completion| {
-            q2.adjuncts()
-                .iter()
-                .any(|b| find_homomorphism(b, &completion.query).is_some())
+            let completion = CompiledQuery::new(&completion.query);
+            sources.iter().any(|b| b.maps_to(&completion))
         })
     })
 }

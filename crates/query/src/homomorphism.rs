@@ -6,14 +6,20 @@
 //! preserved, the head of `Q` maps to the head of `Q'`, constants map to
 //! themselves, and every disequality of `Q` maps to a disequality of `Q'`
 //! (or to a pair of distinct constants, which is vacuously disequal).
+//!
+//! Every search runs on one kernel over [`CompiledQuery`]: dense variable
+//! indices, atoms as relation plus argument codes, a precomputed atom
+//! order, and each disequality checked as soon as both of its sides are
+//! bound. Callers that test one query against many (the minimizer)
+//! compile each query once and call [`CompiledQuery::maps_to`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
-use prov_storage::RelName;
+use prov_storage::Value;
 
-use crate::atom::Diseq;
 use crate::cq::ConjunctiveQuery;
-use crate::term::{Term, Variable};
+use crate::term::{Term, Variable, CONST_TAG};
 
 /// A homomorphism between two conjunctive queries.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -42,29 +48,6 @@ impl Homomorphism {
         }
         covered.into_iter().all(|c| c)
     }
-
-    /// Whether the atom mapping is injective.
-    pub fn is_injective_on_atoms(&self) -> bool {
-        let mut seen = std::collections::BTreeSet::new();
-        self.atom_map.iter().all(|&j| seen.insert(j))
-    }
-
-    /// Whether the variable mapping is a bijection onto the target's
-    /// variables.
-    pub fn is_var_bijection(&self, target: &ConjunctiveQuery) -> bool {
-        let mut image = std::collections::BTreeSet::new();
-        for t in self.var_map.values() {
-            match t {
-                Term::Var(v) => {
-                    if !image.insert(*v) {
-                        return false;
-                    }
-                }
-                Term::Const(_) => return false,
-            }
-        }
-        image == target.variables()
-    }
 }
 
 /// Search configuration for homomorphism enumeration.
@@ -78,6 +61,211 @@ pub struct HomSearch {
     pub limit: Option<usize>,
 }
 
+/// A term as the kernel sees it ([`Term::code`]).
+type Code = u64;
+
+const UNBOUND: Code = Code::MAX;
+
+fn is_var(c: Code) -> bool {
+    c < CONST_TAG
+}
+
+/// A query compiled for the homomorphism kernel; either side of a search.
+/// The plan of a search *out of* the query is built on first use, so a
+/// query that is only ever searched into never pays for it.
+#[derive(Clone, Debug)]
+pub struct CompiledQuery {
+    /// The query's variables, sorted; a variable's code is its position.
+    vars: Vec<Variable>,
+    head_relation: u32,
+    head: Vec<Code>,
+    /// Per atom: relation id and its argument range in `args`.
+    atoms: Vec<(u32, u32, u32)>,
+    args: Vec<Code>,
+    /// Atom indices sorted by `(relation, arity)`, ascending within a
+    /// group, and each group's range in that list: the candidate lists of
+    /// a search *into* this query.
+    by_relation: Vec<u32>,
+    groups: Vec<((u32, u32), u32, u32)>,
+    /// The disequalities as sorted `(min, max)` code pairs — a variable's
+    /// code is below every constant's, so this is each disequality's
+    /// normal form — for lookups into this query.
+    diseqs: Vec<(Code, Code)>,
+    plan: OnceLock<Plan>,
+}
+
+/// How a search *out of* a query proceeds.
+#[derive(Clone, Debug)]
+struct Plan {
+    /// The order in which the search maps the query's atoms.
+    order: Vec<u32>,
+    /// The disequalities sorted by the step after which both sides are
+    /// bound: `schedule[due[s]..due[s + 1]]` fall due once the head
+    /// (`s = 0`) or the atom of step `s - 1` is mapped.
+    schedule: Vec<(u32, Code, Code)>,
+    due: Vec<u32>,
+}
+
+impl CompiledQuery {
+    /// Compiles `q`.
+    pub fn new(q: &ConjunctiveQuery) -> Self {
+        let mut vars: Vec<Variable> = q.atoms().iter().flat_map(|a| a.variables()).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let code = |t: Term| t.code(&vars);
+        let head: Vec<Code> = q.head().args.iter().map(|&t| code(t)).collect();
+        let mut atoms = Vec::with_capacity(q.atoms().len());
+        let mut args = Vec::with_capacity(2 * q.atoms().len());
+        for a in q.atoms() {
+            let start = args.len() as u32;
+            args.extend(a.args.iter().map(|&t| code(t)));
+            atoms.push((a.relation.id(), start, args.len() as u32));
+        }
+        let group_key = |j: u32| {
+            let (relation, start, end) = atoms[j as usize];
+            (relation, end - start)
+        };
+        let mut by_relation: Vec<u32> = (0..atoms.len() as u32).collect();
+        by_relation.sort_unstable_by_key(|&j| (group_key(j), j));
+        let mut groups: Vec<((u32, u32), u32, u32)> = Vec::new();
+        for (k, &j) in by_relation.iter().enumerate() {
+            match groups.last_mut() {
+                Some(g) if g.0 == group_key(j) => g.2 = k as u32 + 1,
+                _ => groups.push((group_key(j), k as u32, k as u32 + 1)),
+            }
+        }
+
+        // `q.diseqs()` iterates in (left, right) order, which codes
+        // preserve, so `diseqs` comes out sorted.
+        let diseqs: Vec<(Code, Code)> = q
+            .diseqs()
+            .iter()
+            .map(|d| (code(Term::Var(d.left())), code(d.right())))
+            .collect();
+        CompiledQuery {
+            head_relation: q.head().relation.id(),
+            head,
+            atoms,
+            args,
+            by_relation,
+            groups,
+            diseqs,
+            plan: OnceLock::new(),
+            vars,
+        }
+    }
+
+    fn plan(&self) -> &Plan {
+        self.plan.get_or_init(|| self.build_plan())
+    }
+
+    fn build_plan(&self) -> Plan {
+        let (atoms, args) = (&self.atoms, &self.args);
+        // Most-constrained-first: start from atoms sharing variables with
+        // the head, then grow along shared variables. `bound_at[v]` is the
+        // step after which `v` is bound (0: by the head). `order[step..]`
+        // holds the atoms not yet placed.
+        let mut bound_at = vec![u32::MAX; self.vars.len()];
+        for &c in self.head.iter().filter(|&&c| is_var(c)) {
+            bound_at[c as usize] = 0;
+        }
+        let mut order: Vec<u32> = (0..atoms.len() as u32).collect();
+        for step in 0..order.len() {
+            // The unplaced atom with the most bound variable occurrences
+            // (ties: fewer unbound ones, then lowest index).
+            let best = (step..order.len())
+                .max_by_key(|&k| {
+                    let i = order[k] as usize;
+                    let (_, start, end) = atoms[i];
+                    let (mut bound, mut unbound) = (0, 0);
+                    for &c in args[start as usize..end as usize]
+                        .iter()
+                        .filter(|&&c| is_var(c))
+                    {
+                        if bound_at[c as usize] == u32::MAX {
+                            unbound += 1;
+                        } else {
+                            bound += 1;
+                        }
+                    }
+                    (bound, usize::MAX - unbound, usize::MAX - i)
+                })
+                .expect("an atom is left to place");
+            order.swap(step, best);
+            let (_, start, end) = atoms[order[step] as usize];
+            for &c in args[start as usize..end as usize]
+                .iter()
+                .filter(|&&c| is_var(c))
+            {
+                bound_at[c as usize] = bound_at[c as usize].min(step as u32 + 1);
+            }
+        }
+
+        let mut schedule: Vec<(u32, Code, Code)> = self
+            .diseqs
+            .iter()
+            .map(|&(l, r)| {
+                let r_bound = if is_var(r) { bound_at[r as usize] } else { 0 };
+                (bound_at[l as usize].max(r_bound), l, r)
+            })
+            .collect();
+        schedule.sort_unstable();
+        let mut due = vec![0u32; order.len() + 2];
+        for &(s, _, _) in &schedule {
+            due[s as usize + 1] += 1;
+        }
+        for s in 1..due.len() {
+            due[s] += due[s - 1];
+        }
+        Plan {
+            order,
+            schedule,
+            due,
+        }
+    }
+
+    /// The number of variables.
+    pub fn num_vars(&self) -> usize {
+        self.vars.len()
+    }
+
+    /// Whether a homomorphism `self → target` exists — the containment
+    /// primitive (Theorem 3.1), stopping at the first witness.
+    pub fn maps_to(&self, target: &CompiledQuery) -> bool {
+        self.maps_to_without(target, None)
+    }
+
+    /// Whether a homomorphism `self → target` exists that maps no atom
+    /// onto target atom `excluded` — one into the target with that atom
+    /// removed, without compiling the smaller query.
+    pub fn maps_to_without(&self, target: &CompiledQuery, excluded: Option<usize>) -> bool {
+        let mut exists = false;
+        Search::run(self, target, HomSearch::default(), excluded, &mut |_| {
+            exists = true;
+            Walk::Stop
+        });
+        exists
+    }
+
+    fn atom_args(&self, i: usize) -> &[Code] {
+        let (_, start, end) = self.atoms[i];
+        &self.args[start as usize..end as usize]
+    }
+
+    /// Whether this query, as a target, has the disequality `a ≠ b`.
+    fn has_diseq(&self, a: Code, b: Code) -> bool {
+        self.diseqs.binary_search(&(a.min(b), a.max(b))).is_ok()
+    }
+
+    fn term(&self, c: Code) -> Term {
+        if is_var(c) {
+            Term::Var(self.vars[c as usize])
+        } else {
+            Term::Const(Value::from_id((c & !CONST_TAG) as u32))
+        }
+    }
+}
+
 /// Whether the enumeration should keep backtracking or stop — returned by
 /// search visitors so callers like [`find_homomorphism`] can terminate on
 /// the first witness instead of materializing every candidate mapping.
@@ -87,142 +275,141 @@ enum Walk {
     Stop,
 }
 
-/// Immutable search context: the backtracking state lives on the stack of
-/// [`Searcher::extend`] and completed mappings are *visited*, never
-/// collected, so search cost is proportional to the part of the candidate
-/// space actually explored.
-struct Searcher<'a> {
-    source: &'a ConjunctiveQuery,
-    target: &'a ConjunctiveQuery,
+/// The backtracking state of one search, in flat arrays. Completed
+/// mappings are *visited*, never collected, so search cost is proportional
+/// to the part of the candidate space actually explored.
+struct Search<'a> {
+    source: &'a CompiledQuery,
+    plan: &'a Plan,
+    target: &'a CompiledQuery,
     config: HomSearch,
-    /// Candidate target atom indices per relation.
-    by_relation: HashMap<RelName, Vec<usize>>,
-    /// Source atom processing order (most-constrained-first heuristic).
-    order: Vec<usize>,
+    /// A target atom no source atom may map to, or `u32::MAX`.
+    excluded: u32,
+    /// Per step of the source's order, the target atoms it may map to.
+    candidates: Vec<&'a [u32]>,
+    /// Source variable → target code, or [`UNBOUND`].
+    binding: Vec<Code>,
+    /// Variables in binding order; undoing a step truncates it.
+    trail: Vec<u32>,
+    atom_map: Vec<u32>,
+    /// Per target atom, how many source atoms map to it.
+    covered: Vec<u32>,
+    uncovered: usize,
 }
 
-/// Mutable backtracking state threaded through [`Searcher::extend`].
-struct SearchState {
-    binding: BTreeMap<Variable, Term>,
-    atom_map: Vec<usize>,
-    used: Vec<bool>,
-    covered: Vec<usize>,
-}
-
-impl<'a> Searcher<'a> {
-    fn new(source: &'a ConjunctiveQuery, target: &'a ConjunctiveQuery, config: HomSearch) -> Self {
-        let mut by_relation: HashMap<RelName, Vec<usize>> = HashMap::new();
-        for (j, atom) in target.atoms().iter().enumerate() {
-            by_relation.entry(atom.relation).or_default().push(j);
-        }
-        let order = plan_order(source);
-        Searcher {
-            source,
-            target,
-            config,
-            by_relation,
-            order,
-        }
-    }
-
-    /// Runs the backtracking search, calling `visit` on each complete,
-    /// constraint-satisfying homomorphism. `visit` returning [`Walk::Stop`]
-    /// aborts the search immediately (lazy enumeration).
-    fn search(&self, visit: &mut dyn FnMut(&SearchState) -> Walk) {
-        // Seed the variable binding from the head constraint: the induced
-        // mapping must send head(Q) to head(Q') positionally.
-        let src_head = self.source.head();
-        let tgt_head = self.target.head();
-        if src_head.relation != tgt_head.relation || src_head.arity() != tgt_head.arity() {
+impl<'a> Search<'a> {
+    /// Runs the search, calling `visit` on each complete,
+    /// constraint-satisfying homomorphism until it returns [`Walk::Stop`].
+    /// No source atom maps onto target atom `excluded`.
+    fn run(
+        source: &'a CompiledQuery,
+        target: &'a CompiledQuery,
+        config: HomSearch,
+        excluded: Option<usize>,
+        visit: &mut dyn FnMut(&Search) -> Walk,
+    ) {
+        if source.head_relation != target.head_relation || source.head.len() != target.head.len() {
             return;
         }
-        let mut binding: BTreeMap<Variable, Term> = BTreeMap::new();
-        for (s, t) in src_head.args.iter().zip(&tgt_head.args) {
-            if !bind_term(&mut binding, *s, *t) {
+        let plan = source.plan();
+        let mut candidates = Vec::with_capacity(plan.order.len());
+        for &i in &plan.order {
+            let (relation, start, end) = source.atoms[i as usize];
+            let key = (relation, end - start);
+            let Ok(g) = target.groups.binary_search_by_key(&key, |g| g.0) else {
                 return;
-            }
+            };
+            let (_, start, end) = target.groups[g];
+            candidates.push(&target.by_relation[start as usize..end as usize]);
         }
-        let mut state = SearchState {
-            binding,
-            atom_map: vec![usize::MAX; self.source.atoms().len()],
-            used: vec![false; self.target.atoms().len()],
-            covered: vec![0usize; self.target.atoms().len()],
+        let mut search = Search {
+            source,
+            plan,
+            target,
+            config,
+            excluded: excluded.map_or(u32::MAX, |j| j as u32),
+            candidates,
+            binding: vec![UNBOUND; source.vars.len()],
+            trail: Vec::with_capacity(source.vars.len()),
+            atom_map: vec![u32::MAX; source.atoms.len()],
+            covered: vec![0; target.atoms.len()],
+            uncovered: target.atoms.len() - usize::from(excluded.is_some()),
         };
-        self.extend(0, &mut state, visit);
+        // The induced mapping must send head(Q) to head(Q') positionally.
+        if search.unify(&source.head, &target.head) && search.diseqs_hold(0) {
+            search.extend(0, visit);
+        }
     }
 
-    fn extend(
-        &self,
-        step: usize,
-        state: &mut SearchState,
-        visit: &mut dyn FnMut(&SearchState) -> Walk,
-    ) -> Walk {
-        if step == self.order.len() {
-            if self.check_diseqs(&state.binding)
-                && (!self.config.surjective || state.covered.iter().all(|&c| c > 0))
-            {
-                return visit(state);
+    /// Binds `source` codes to `target` codes position by position,
+    /// recording new bindings on the trail; false on a clash (the caller
+    /// undoes the partial bindings).
+    fn unify(&mut self, source: &[Code], target: &[Code]) -> bool {
+        for (&s, &t) in source.iter().zip(target) {
+            if !is_var(s) {
+                if s != t {
+                    return false;
+                }
+            } else if self.binding[s as usize] == UNBOUND {
+                self.binding[s as usize] = t;
+                self.trail.push(s as u32);
+            } else if self.binding[s as usize] != t {
+                return false;
             }
-            return Walk::Continue;
         }
-        // Surjectivity pruning: remaining source atoms must be able to
-        // cover the still-uncovered target atoms.
-        if self.config.surjective {
-            let uncovered = state.covered.iter().filter(|&&c| c == 0).count();
-            if self.order.len() - step < uncovered {
+        true
+    }
+
+    /// Whether the disequalities that fall due at `due` step `s` map to
+    /// disequalities of the target (or to distinct constants).
+    fn diseqs_hold(&self, s: usize) -> bool {
+        let range = self.plan.due[s] as usize..self.plan.due[s + 1] as usize;
+        self.plan.schedule[range].iter().all(|&(_, l, r)| {
+            let l = self.binding[l as usize];
+            let r = if is_var(r) {
+                self.binding[r as usize]
+            } else {
+                r
+            };
+            l != r && ((!is_var(l) && !is_var(r)) || self.target.has_diseq(l, r))
+        })
+    }
+
+    fn extend(&mut self, step: usize, visit: &mut dyn FnMut(&Search) -> Walk) -> Walk {
+        if step == self.candidates.len() {
+            if self.config.surjective && self.uncovered > 0 {
                 return Walk::Continue;
             }
+            return visit(self);
         }
-        let i = self.order[step];
-        let source_atom = &self.source.atoms()[i];
-        let Some(candidates) = self.by_relation.get(&source_atom.relation) else {
+        // Surjectivity pruning: the remaining source atoms must be able to
+        // cover the still-uncovered target atoms.
+        if self.config.surjective && self.candidates.len() - step < self.uncovered {
             return Walk::Continue;
-        };
+        }
+        let (source, target) = (self.source, self.target);
+        let i = self.plan.order[step] as usize;
+        let candidates = self.candidates[step];
         for &j in candidates {
-            if self.config.injective && state.used[j] {
+            if j == self.excluded {
                 continue;
             }
-            let target_atom = &self.target.atoms()[j];
-            if target_atom.arity() != source_atom.arity() {
+            let j = j as usize;
+            if self.config.injective && self.covered[j] > 0 {
                 continue;
             }
-            // Attempt to extend the binding; remember what we added.
-            let mut added: Vec<Variable> = Vec::new();
-            let mut ok = true;
-            for (s, t) in source_atom.args.iter().zip(&target_atom.args) {
-                match s {
-                    Term::Const(c) => {
-                        if *t != Term::Const(*c) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    Term::Var(v) => match state.binding.get(v) {
-                        Some(bound) => {
-                            if bound != t {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        None => {
-                            state.binding.insert(*v, *t);
-                            added.push(*v);
-                        }
-                    },
-                }
-            }
+            let mark = self.trail.len();
             let mut walk = Walk::Continue;
-            if ok {
-                state.atom_map[i] = j;
-                state.used[j] = true;
-                state.covered[j] += 1;
-                walk = self.extend(step + 1, state, visit);
-                state.covered[j] -= 1;
-                state.used[j] = false;
-                state.atom_map[i] = usize::MAX;
+            if self.unify(source.atom_args(i), target.atom_args(j)) && self.diseqs_hold(step + 1) {
+                self.atom_map[i] = j as u32;
+                self.covered[j] += 1;
+                self.uncovered -= usize::from(self.covered[j] == 1);
+                walk = self.extend(step + 1, visit);
+                self.uncovered += usize::from(self.covered[j] == 1);
+                self.covered[j] -= 1;
             }
-            for v in added {
-                state.binding.remove(&v);
+            for v in self.trail.drain(mark..) {
+                self.binding[v as usize] = UNBOUND;
             }
             if walk == Walk::Stop {
                 return Walk::Stop;
@@ -231,82 +418,29 @@ impl<'a> Searcher<'a> {
         Walk::Continue
     }
 
-    /// Checks disequality preservation for a complete candidate mapping.
-    fn check_diseqs(&self, binding: &BTreeMap<Variable, Term>) -> bool {
-        for d in self.source.diseqs() {
-            let (l, r) = d.sides();
-            let li = apply_binding(binding, l);
-            let ri = apply_binding(binding, r);
-            let preserved = match (li, ri) {
-                _ if li == ri => false,
-                (Term::Const(a), Term::Const(b)) => a != b,
-                (Term::Var(lv), rt) => self.target.diseqs().contains(&Diseq::new(lv, rt)),
-                (lt, Term::Var(rv)) => self.target.diseqs().contains(&Diseq::new(rv, lt)),
-            };
-            if !preserved {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-impl SearchState {
-    fn to_homomorphism(&self) -> Homomorphism {
+    /// The current complete mapping as a [`Homomorphism`].
+    fn homomorphism(&self) -> Homomorphism {
         Homomorphism {
-            atom_map: self.atom_map.clone(),
-            var_map: self.binding.clone(),
+            atom_map: self.atom_map.iter().map(|&j| j as usize).collect(),
+            var_map: self
+                .source
+                .vars
+                .iter()
+                .zip(&self.binding)
+                .map(|(&v, &c)| (v, self.target.term(c)))
+                .collect(),
         }
     }
 }
 
-fn apply_binding(binding: &BTreeMap<Variable, Term>, t: Term) -> Term {
-    match t {
-        Term::Var(v) => *binding
-            .get(&v)
-            .expect("all variables bound after atom mapping"),
-        c @ Term::Const(_) => c,
-    }
-}
-
-fn bind_term(binding: &mut BTreeMap<Variable, Term>, source: Term, target: Term) -> bool {
-    match source {
-        Term::Const(c) => target == Term::Const(c),
-        Term::Var(v) => match binding.get(&v) {
-            Some(bound) => *bound == target,
-            None => {
-                binding.insert(v, target);
-                true
-            }
-        },
-    }
-}
-
-/// Orders source atoms most-constrained-first: start from atoms sharing
-/// variables with the head, then grow along shared variables.
-fn plan_order(source: &ConjunctiveQuery) -> Vec<usize> {
-    let n = source.atoms().len();
-    let mut bound: std::collections::BTreeSet<Variable> = source.head().variables().collect();
-    let mut order = Vec::with_capacity(n);
-    let mut remaining: Vec<usize> = (0..n).collect();
-    while !remaining.is_empty() {
-        // Pick the remaining atom with the most already-bound variables
-        // (ties: fewer unbound variables, then lowest index).
-        let (pos, &best) = remaining
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &i)| {
-                let atom = &source.atoms()[i];
-                let bound_count = atom.variables().filter(|v| bound.contains(v)).count();
-                let unbound = atom.variables().filter(|v| !bound.contains(v)).count();
-                (bound_count, usize::MAX - unbound, usize::MAX - i)
-            })
-            .expect("remaining not empty");
-        order.push(best);
-        bound.extend(source.atoms()[best].variables());
-        remaining.remove(pos);
-    }
-    order
+fn search(
+    source: &ConjunctiveQuery,
+    target: &ConjunctiveQuery,
+    config: HomSearch,
+    visit: &mut dyn FnMut(&Search) -> Walk,
+) {
+    let (source, target) = (CompiledQuery::new(source), CompiledQuery::new(target));
+    Search::run(&source, &target, config, None, visit);
 }
 
 /// Finds one homomorphism `source → target`, if any. The backtracking
@@ -317,8 +451,8 @@ pub fn find_homomorphism(
     target: &ConjunctiveQuery,
 ) -> Option<Homomorphism> {
     let mut found = None;
-    Searcher::new(source, target, HomSearch::default()).search(&mut |state| {
-        found = Some(state.to_homomorphism());
+    search(source, target, HomSearch::default(), &mut |s| {
+        found = Some(s.homomorphism());
         Walk::Stop
     });
     found
@@ -328,34 +462,24 @@ pub fn find_homomorphism(
 /// containment-check primitive (Theorem 3.1), with first-witness
 /// termination.
 pub fn homomorphism_exists(source: &ConjunctiveQuery, target: &ConjunctiveQuery) -> bool {
-    let mut exists = false;
-    Searcher::new(source, target, HomSearch::default()).search(&mut |_| {
-        exists = true;
-        Walk::Stop
-    });
-    exists
+    CompiledQuery::new(source).maps_to(&CompiledQuery::new(target))
 }
 
 /// Finds a homomorphism `source → target` that is surjective on relational
-/// atoms (the hypothesis of Theorem 3.3), if any. Surjectivity is checked
-/// at the leaves of the backtracking search, so the enumeration stops at
-/// the first surjective witness instead of materializing every mapping
-/// and filtering afterwards.
+/// atoms (the hypothesis of Theorem 3.3), if any. Coverage is tracked
+/// during the search, which prunes branches that can no longer cover
+/// every target atom and stops at the first surjective witness.
 pub fn find_surjective_homomorphism(
     source: &ConjunctiveQuery,
     target: &ConjunctiveQuery,
 ) -> Option<Homomorphism> {
+    let config = HomSearch {
+        surjective: true,
+        ..Default::default()
+    };
     let mut found = None;
-    Searcher::new(
-        source,
-        target,
-        HomSearch {
-            surjective: true,
-            ..Default::default()
-        },
-    )
-    .search(&mut |state| {
-        found = Some(state.to_homomorphism());
+    search(source, target, config, &mut |s| {
+        found = Some(s.homomorphism());
         Walk::Stop
     });
     found
@@ -371,8 +495,8 @@ pub fn all_homomorphisms(
     if config.limit == Some(0) {
         return results;
     }
-    Searcher::new(source, target, config).search(&mut |state| {
-        results.push(state.to_homomorphism());
+    search(source, target, config, &mut |s| {
+        results.push(s.homomorphism());
         if config.limit.is_some_and(|limit| results.len() >= limit) {
             Walk::Stop
         } else {
@@ -382,71 +506,49 @@ pub fn all_homomorphisms(
     results
 }
 
-/// Whether two queries are syntactically isomorphic: a homomorphism that is
-/// bijective on atoms and variables and maps the disequality set onto the
-/// target's. The search tests each candidate at the leaf and stops at the
-/// first isomorphism.
-pub fn are_isomorphic(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
-    if q1.atoms().len() != q2.atoms().len()
-        || q1.diseqs().len() != q2.diseqs().len()
-        || q1.variables().len() != q2.variables().len()
+/// Runs an isomorphism search `q1 → q2`, calling `visit` on each
+/// isomorphism. Between queries with equally many atoms, variables and
+/// disequalities, every atom-injective homomorphism is one: its atom map
+/// is onto, so its variable images cover all of the target's variables
+/// and the variable map is a bijection; the disequalities it preserves
+/// then map injectively into, hence onto, the target's.
+fn isomorphisms(q1: &CompiledQuery, q2: &CompiledQuery, visit: &mut dyn FnMut(&Search) -> Walk) {
+    if q1.atoms.len() != q2.atoms.len()
+        || q1.diseqs.len() != q2.diseqs.len()
+        || q1.vars.len() != q2.vars.len()
     {
-        return false;
+        return;
     }
-    let mut iso = false;
-    Searcher::new(
-        q1,
-        q2,
-        HomSearch {
-            injective: true,
-            ..Default::default()
-        },
-    )
-    .search(&mut |state| {
-        let h = state.to_homomorphism();
-        if h.is_var_bijection(q2) && diseq_image_onto(q1, q2, &h) {
-            iso = true;
-            Walk::Stop
-        } else {
-            Walk::Continue
-        }
-    });
-    iso
+    let config = HomSearch {
+        injective: true,
+        ..Default::default()
+    };
+    Search::run(q1, q2, config, None, visit);
 }
 
-fn diseq_image_onto(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery, h: &Homomorphism) -> bool {
-    let image: std::collections::BTreeSet<Diseq> = q1
-        .diseqs()
-        .iter()
-        .map(|d| {
-            let (l, r) = d.sides();
-            match (h.apply(l), h.apply(r)) {
-                (Term::Var(lv), rt) => Diseq::new(lv, rt),
-                (lt, Term::Var(rv)) => Diseq::new(rv, lt),
-                _ => unreachable!("var-bijective homomorphism maps variables to variables"),
-            }
-        })
-        .collect();
-    &image == q2.diseqs()
+/// Whether two queries are syntactically isomorphic: a homomorphism that is
+/// bijective on atoms and variables and maps the disequality set onto the
+/// target's. The search stops at the first isomorphism.
+pub fn are_isomorphic(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
+    let mut iso = false;
+    isomorphisms(
+        &CompiledQuery::new(q1),
+        &CompiledQuery::new(q2),
+        &mut |_| {
+            iso = true;
+            Walk::Stop
+        },
+    );
+    iso
 }
 
 /// Enumerates the automorphisms of `q`: isomorphisms `q → q`.
 /// Non-automorphism candidates are rejected at the leaf, not collected.
 pub fn automorphisms(q: &ConjunctiveQuery) -> Vec<Homomorphism> {
+    let compiled = CompiledQuery::new(q);
     let mut results = Vec::new();
-    Searcher::new(
-        q,
-        q,
-        HomSearch {
-            injective: true,
-            ..Default::default()
-        },
-    )
-    .search(&mut |state| {
-        let h = state.to_homomorphism();
-        if h.is_var_bijection(q) && diseq_image_onto(q, q, &h) {
-            results.push(h);
-        }
+    isomorphisms(&compiled, &compiled, &mut |s| {
+        results.push(s.homomorphism());
         Walk::Continue
     });
     results
@@ -455,20 +557,10 @@ pub fn automorphisms(q: &ConjunctiveQuery) -> Vec<Homomorphism> {
 /// The number of automorphisms of `q` (paper Lemma 5.7's `k`), counted
 /// during the search without storing the mappings.
 pub fn count_automorphisms(q: &ConjunctiveQuery) -> u64 {
+    let compiled = CompiledQuery::new(q);
     let mut count = 0u64;
-    Searcher::new(
-        q,
-        q,
-        HomSearch {
-            injective: true,
-            ..Default::default()
-        },
-    )
-    .search(&mut |state| {
-        let h = state.to_homomorphism();
-        if h.is_var_bijection(q) && diseq_image_onto(q, q, &h) {
-            count += 1;
-        }
+    isomorphisms(&compiled, &compiled, &mut |_| {
+        count += 1;
         Walk::Continue
     });
     count

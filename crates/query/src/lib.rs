@@ -18,7 +18,6 @@ pub mod canonical;
 pub mod containment;
 pub mod generate;
 pub mod homomorphism;
-pub mod memo;
 pub mod parser;
 
 pub use atom::{Atom, Diseq};

@@ -89,6 +89,22 @@ impl Term {
     }
 }
 
+/// Tags a constant's interned id in a [`Term::code`], above every
+/// variable position.
+pub(crate) const CONST_TAG: u64 = 1 << 32;
+
+impl Term {
+    /// The term as an integer code: a variable's position in `vars`
+    /// (sorted, and holding it), or a constant's interned id tagged with
+    /// [`CONST_TAG`]. Codes order like terms: variables first.
+    pub(crate) fn code(self, vars: &[Variable]) -> u64 {
+        match self {
+            Term::Var(v) => vars.binary_search(&v).expect("variable indexed") as u64,
+            Term::Const(c) => CONST_TAG | u64::from(c.id()),
+        }
+    }
+}
+
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

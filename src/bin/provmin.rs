@@ -707,40 +707,56 @@ fn run_with_db(
             stats.peak_frontier_rows
         );
     }
-    // One locked, buffered stdout for every row: `println!` would cost a
-    // write(2) per row on line-buffered stdout.
-    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
-    let printed = write_rows(&mut out, cmd, &result, &q, &db);
     // Rows rendered before a failing core still reach stdout, as they
-    // did when each row was printed on its own.
-    let flushed = out.flush().map_err(|e| format!("stdout: {e}"));
-    printed.and(flushed)
+    // did when each row was printed on its own; the core's error is the
+    // one reported.
+    let mut rows = Ok(());
+    let written = write_stdout(|out| {
+        rows = write_rows(out, cmd, &result, &q, &db)?;
+        Ok(())
+    });
+    rows.and(written)
 }
 
-/// Writes `eval`/`core` output rows, one per tuple.
+/// Writes `eval`/`core` output rows, one per tuple. A core that cannot be
+/// computed ends the rows early and comes back as the inner error.
 fn write_rows(
-    out: &mut impl Write,
+    out: &mut dyn Write,
     cmd: &str,
     result: &provmin::engine::AnnotatedResult,
     q: &UnionQuery,
     db: &Database,
-) -> Result<(), String> {
-    let io = |e: std::io::Error| format!("stdout: {e}");
+) -> std::io::Result<Result<(), String>> {
     if result.is_empty() {
-        return writeln!(out, "(empty result)").map_err(io);
+        writeln!(out, "(empty result)")?;
+        return Ok(Ok(()));
     }
     for (tuple, p) in result.iter() {
         match cmd {
-            "eval" => writeln!(out, "{tuple}  [{p}]").map_err(io)?,
+            "eval" => writeln!(out, "{tuple}  [{p}]")?,
             _core => {
                 let consts = q.constants();
-                let core = exact_core(p, db, tuple, &consts)
-                    .map_err(|e| format!("core of {tuple}: {e}"))?;
-                writeln!(out, "{tuple}  [{core}]   (from [{p}])").map_err(io)?;
+                let core = match exact_core(p, db, tuple, &consts) {
+                    Ok(core) => core,
+                    Err(e) => return Ok(Err(format!("core of {tuple}: {e}"))),
+                };
+                writeln!(out, "{tuple}  [{core}]   (from [{p}])")?;
             }
         }
     }
-    Ok(())
+    Ok(Ok(()))
+}
+
+/// Runs `write` against one locked, buffered stdout and flushes it: one
+/// write(2) per buffer, not per line as `println!` on line-buffered
+/// stdout. A failed write (a closed pipe, a full disk) comes back as
+/// `stdout: …`, which `main` prints as an `error:` line and exit 1, never
+/// a panic.
+fn write_stdout(write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> Result<(), String> {
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("stdout: {e}"))
 }
 
 /// Runs the minimization engine; returns `Ok(false)` when the budget was
@@ -749,18 +765,21 @@ fn run_minimize(query: &str, options: MinimizeOptions) -> Result<bool, String> {
     let q = parse_query(query)?;
     match minimize_with(&q, options).map_err(|e| e.to_string())? {
         MinimizeOutcome::Complete(minimal) => {
-            println!("{minimal}");
+            write_stdout(|out| writeln!(out, "{minimal}"))?;
             Ok(true)
         }
         MinimizeOutcome::Partial(partial) => {
-            println!("{}", partial.best);
             // The cursor goes to *stdout* so callers capturing the result
             // can resume mechanically; the human-facing note stays on
             // stderr.
-            println!(
-                "resume-cursor: adjunct {} completion {}",
-                partial.cursor.adjunct, partial.cursor.completion
-            );
+            write_stdout(|out| {
+                writeln!(out, "{}", partial.best)?;
+                writeln!(
+                    out,
+                    "resume-cursor: adjunct {} completion {}",
+                    partial.cursor.adjunct, partial.cursor.completion
+                )
+            })?;
             eprintln!(
                 "budget exhausted after {} steps (sound partial result above)",
                 partial.steps_used
@@ -773,23 +792,32 @@ fn run_minimize(query: &str, options: MinimizeOptions) -> Result<bool, String> {
 fn run_trace(query: &str) -> Result<(), String> {
     let q = parse_query(query)?;
     let trace = minprov_trace(&q);
-    println!("input ({} adjuncts):\n{}\n", trace.input.len(), trace.input);
-    println!(
-        "step I — canonical rewriting ({} adjuncts):\n{}\n",
-        trace.canonical.len(),
-        trace.canonical
-    );
-    println!(
-        "step II — per-adjunct minimization ({} adjuncts):\n{}\n",
-        trace.minimized.len(),
-        trace.minimized
-    );
-    println!(
-        "step III — containment pruning ({} adjuncts):\n{}",
-        trace.output.len(),
-        trace.output
-    );
-    Ok(())
+    write_stdout(|out| {
+        writeln!(
+            out,
+            "input ({} adjuncts):\n{}\n",
+            trace.input.len(),
+            trace.input
+        )?;
+        writeln!(
+            out,
+            "step I — canonical rewriting ({} adjuncts):\n{}\n",
+            trace.canonical.len(),
+            trace.canonical
+        )?;
+        writeln!(
+            out,
+            "step II — per-adjunct minimization ({} adjuncts):\n{}\n",
+            trace.minimized.len(),
+            trace.minimized
+        )?;
+        writeln!(
+            out,
+            "step III — containment pruning ({} adjuncts):\n{}",
+            trace.output.len(),
+            trace.output
+        )
+    })
 }
 
 fn run_datalog(db_path: &str, program_path: &str, pred: &str) -> Result<(), String> {
@@ -801,18 +829,19 @@ fn run_datalog(db_path: &str, program_path: &str, pred: &str) -> Result<(), Stri
         return Err(format!("{pred} is not defined by the program"));
     }
     let result = evaluate(&program, &db);
-    println!("{pred} with provenance over source annotations:");
-    for (tuple, p) in result.tuples(predicate) {
-        println!("  {tuple}  [{p}]");
-    }
-    match core_query(&program, predicate) {
-        Some(core) => {
-            println!(
+    let core = core_query(&program, predicate);
+    write_stdout(|out| {
+        writeln!(out, "{pred} with provenance over source annotations:")?;
+        for (tuple, p) in result.tuples(predicate) {
+            writeln!(out, "  {tuple}  [{p}]")?;
+        }
+        match core {
+            Some(core) => writeln!(
+                out,
                 "\np-minimal unfolded definition ({} adjuncts):\n{core}",
                 core.len()
-            );
+            ),
+            None => writeln!(out, "\n{pred} is unsatisfiable"),
         }
-        None => println!("\n{pred} is unsatisfiable"),
-    }
-    Ok(())
+    })
 }

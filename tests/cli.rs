@@ -91,6 +91,36 @@ fn generous_budget_completes_with_exit_0() {
     assert!(!stdout(&output).contains("resume-cursor"));
 }
 
+/// `Q_3` of Theorem 4.10 (`qn_family(3)`): 203 candidate completions.
+const Q3: &str = "ans() :- R1(x1,y1), R1(y1,x1), R2(x2,y2), R2(y2,x2), R3(x3,y3), R3(y3,x3)";
+
+#[test]
+fn minimize_q3_output_is_pinned() {
+    // The 66 adjuncts, in order, byte for byte as the committed fixture.
+    let output = provmin(&["minimize", Q3]);
+    assert_eq!(code(&output), 0);
+    assert_eq!(stdout(&output), include_str!("fixtures/minimize_q3.out"));
+}
+
+#[test]
+fn closed_stdout_pipe_is_1_not_a_panic() {
+    for cmd in ["minimize", "trace"] {
+        // The read end is gone before the process starts, so every write
+        // fails with a broken pipe.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_provmin"))
+            .args([cmd, Q3])
+            .stdout(writer)
+            .output()
+            .expect("provmin binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(code(&output), 1, "{cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+        assert!(stderr.starts_with("error: stdout:"), "{cmd}: {stderr}");
+    }
+}
+
 #[test]
 fn malformed_query_is_1_not_3() {
     let output = provmin(&["minimize", "this is not a query"]);
