@@ -602,6 +602,33 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
         }
     }
 
+    // Bulk text load over provbench's database shape (R and S at a 5:1
+    // ratio over 1,000 values, named annotations), at 2,000 and 24,000
+    // tuples: text → `Database`, the storage half of a cold `provmin
+    // eval`. The work per line is constant, so the 24k/2k ratio above
+    // 12x is what the hash maps' cache misses cost once they outgrow the
+    // caches.
+    {
+        use prov_storage::generator::{random_database, DatabaseSpec};
+        use prov_storage::textio::{format_database, parse_database};
+        for (id, tuples) in [("storage/load/2k", 2_000), ("storage/load/24k", 24_000)] {
+            let text = format_database(&random_database(
+                &DatabaseSpec {
+                    relations: vec![
+                        ("R".to_owned(), 2, tuples * 5 / 6),
+                        ("S".to_owned(), 2, tuples / 6),
+                    ],
+                    domain_size: 1_000,
+                    value_prefix: "d".to_owned(),
+                },
+                1,
+            ));
+            extra.push(measure(id, budget_ms, || {
+                std::hint::black_box(parse_database(&text).expect("generated text parses"));
+            }));
+        }
+    }
+
     // Durability: cold recovery of a qconj/800-scale snapshot plus a
     // 64-record WAL tail — the boot path a crashed `--data-dir` server
     // pays before it can serve again. Recovery is read-only, so the
@@ -802,6 +829,10 @@ mod tests {
             "incremental/mutate_toggle/24k",
             "incremental/insert_1/unanchored_24k",
         ] {
+            assert!(ms.iter().any(|m| m.id == id), "{id} not covered");
+        }
+        // Bulk text load rows, at two sizes to show linear growth.
+        for id in ["storage/load/2k", "storage/load/24k"] {
             assert!(ms.iter().any(|m| m.id == id), "{id} not covered");
         }
         // Durability row (the WAL/snapshot PR's CI-visible surface):

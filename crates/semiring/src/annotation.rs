@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::intern::Interner;
+use crate::intern::{InternBatch, Interner};
 
 static ANNOTATION_POOL: Interner = Interner::new();
 
@@ -34,6 +34,13 @@ impl Annotation {
         Annotation(ANNOTATION_POOL.fresh("@"))
     }
 
+    /// Interns a run of annotations under one lock acquisition, with ids
+    /// in call order (see [`Interner::batch`]). While the batch lives, this
+    /// thread must not call [`Annotation::new`] or [`Annotation::fresh`].
+    pub fn batch() -> AnnotationBatch {
+        AnnotationBatch(ANNOTATION_POOL.batch())
+    }
+
     /// The interned name of this annotation.
     pub fn name(&self) -> &'static str {
         ANNOTATION_POOL.name(self.0)
@@ -42,6 +49,21 @@ impl Annotation {
     /// The raw interned id. Stable within a process, useful as an index.
     pub fn id(&self) -> u32 {
         self.0
+    }
+}
+
+/// A run of annotation interning under one lock (see [`Annotation::batch`]).
+pub struct AnnotationBatch(InternBatch<'static>);
+
+impl AnnotationBatch {
+    /// As [`Annotation::new`].
+    pub fn intern(&mut self, name: &str) -> Annotation {
+        Annotation(self.0.intern(name))
+    }
+
+    /// As [`Annotation::fresh`].
+    pub fn fresh(&mut self) -> Annotation {
+        Annotation(self.0.fresh("@"))
     }
 }
 

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Slots in segment 0; segment `k` holds `FIRST_SEGMENT << k`.
 const FIRST_SEGMENT: u64 = 64;
@@ -56,7 +56,7 @@ impl Interner {
     }
 
     /// Stores `name` under the next id and publishes it. Callers hold the
-    /// map lock, so ids are minted one at a time.
+    /// map lock (an [`InternBatch`]), so ids are minted one at a time.
     fn push(&self, name: &'static str) -> u32 {
         let id = self.len.load(Ordering::Relaxed);
         assert!(id < u32::MAX, "interner overflow");
@@ -73,15 +73,7 @@ impl Interner {
 
     /// Interns `name`, returning its id.
     pub fn intern(&self, name: &str) -> u32 {
-        let mut guard = self.by_name.lock().expect("interner poisoned");
-        let by_name = guard.get_or_insert_with(HashMap::new);
-        if let Some(&id) = by_name.get(name) {
-            return id;
-        }
-        let stored: &'static str = Box::leak(name.into());
-        let id = self.push(stored);
-        by_name.insert(stored, id);
-        id
+        self.batch().intern(name)
     }
 
     /// Interns a fresh generated name starting with the given prefix.
@@ -89,20 +81,19 @@ impl Interner {
     /// The generated name is guaranteed not to collide with any name
     /// interned before or after.
     pub fn fresh(&self, prefix: &str) -> u32 {
-        let mut guard = self.by_name.lock().expect("interner poisoned");
-        let by_name = guard.get_or_insert_with(HashMap::new);
-        loop {
-            let name = format!("{prefix}{}", self.len.load(Ordering::Relaxed));
-            if by_name.contains_key(name.as_str()) {
-                // Someone interned this exact name already; burn a slot to
-                // advance the counter and retry.
-                self.push("");
-                continue;
-            }
-            let stored: &'static str = Box::leak(name.into_boxed_str());
-            let id = self.push(stored);
-            by_name.insert(stored, id);
-            return id;
+        self.batch().fresh(prefix)
+    }
+
+    /// Takes the writers' lock once for a run of [`InternBatch::intern`] /
+    /// [`InternBatch::fresh`] calls, which mint ids in call order exactly
+    /// as the same sequence of single calls would. Readers stay lock-free;
+    /// other writers wait until the batch is dropped, so keep batches
+    /// bounded, and never call this interner's single-name methods while
+    /// holding one (that deadlocks).
+    pub fn batch(&self) -> InternBatch<'_> {
+        InternBatch {
+            interner: self,
+            guard: self.by_name.lock().expect("interner poisoned"),
         }
     }
 
@@ -127,6 +118,47 @@ impl Interner {
 impl Default for Interner {
     fn default() -> Self {
         Interner::new()
+    }
+}
+
+/// One holding of an [`Interner`]'s writer lock (see [`Interner::batch`]).
+pub struct InternBatch<'a> {
+    interner: &'a Interner,
+    guard: MutexGuard<'a, Option<HashMap<&'static str, u32>>>,
+}
+
+impl InternBatch<'_> {
+    fn by_name(&mut self) -> &mut HashMap<&'static str, u32> {
+        self.guard.get_or_insert_with(HashMap::new)
+    }
+
+    /// Interns `name`, returning its id.
+    pub fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.by_name().get(name) {
+            return id;
+        }
+        let stored: &'static str = Box::leak(name.into());
+        let id = self.interner.push(stored);
+        self.by_name().insert(stored, id);
+        id
+    }
+
+    /// Interns a fresh generated name starting with `prefix`, as
+    /// [`Interner::fresh`].
+    pub fn fresh(&mut self, prefix: &str) -> u32 {
+        loop {
+            let name = format!("{prefix}{}", self.interner.len.load(Ordering::Relaxed));
+            if self.by_name().contains_key(name.as_str()) {
+                // Someone interned this exact name already; burn a slot to
+                // advance the counter and retry.
+                self.interner.push("");
+                continue;
+            }
+            let stored: &'static str = Box::leak(name.into_boxed_str());
+            let id = self.interner.push(stored);
+            self.by_name().insert(stored, id);
+            return id;
+        }
     }
 }
 

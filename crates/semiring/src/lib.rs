@@ -36,9 +36,9 @@ pub mod order;
 pub mod trio;
 pub mod why;
 
-pub use annotation::Annotation;
+pub use annotation::{Annotation, AnnotationBatch};
 pub use flow::{saturating_b_matching, saturating_b_matching_flows, FlowNetwork};
-pub use intern::Interner;
+pub use intern::{InternBatch, Interner};
 pub use kinds::{Boolean, Clearance, Confidence, Natural, Tropical};
 pub use monomial::{Monomial, MonomialBuilder};
 pub use polynomial::Polynomial;

@@ -22,7 +22,7 @@ use prov_core::minimize::{minimize_with, MinimizeOutcome};
 use prov_engine::AnnotatedResult;
 use prov_query::{parse_ucq, UnionQuery};
 use prov_semiring::Annotation;
-use prov_storage::textio::parse_tuple_line;
+use prov_storage::textio::{parse_database_with_delta_capacity, parse_tuple_line};
 use prov_storage::{Database, RelName, Tuple};
 
 use crate::http::{Body, Request, Response, STREAM_SEGMENT_BYTES};
@@ -87,13 +87,11 @@ fn query_field(body: &Json) -> Result<UnionQuery, Response> {
 /// Builds a database from text without ever panicking: beyond per-line
 /// syntax, cross-line inconsistencies — an annotation re-tagging a
 /// different tuple, an arity mismatch with an earlier line — become
-/// errors (via `textio::parse_database_into`'s checked inserts) where
-/// `Database::insert` / `Relation::insert` would assert. Network input
-/// must never be able to reach those asserts.
+/// errors (the whole-file loader's checks) where `Database::insert` /
+/// `Relation::insert` would assert. Network input must never be able to
+/// reach those asserts.
 fn build_database(text: &str, delta_capacity: usize) -> Result<Database, String> {
-    let mut db = Database::with_delta_capacity(delta_capacity);
-    prov_storage::textio::parse_database_into(&mut db, text).map_err(|e| e.to_string())?;
-    Ok(db)
+    parse_database_with_delta_capacity(text, delta_capacity).map_err(|e| e.to_string())
 }
 
 fn handle_load(state: &ServerState, request: &Request) -> Response {

@@ -1,7 +1,7 @@
 //! Database instances: named annotated relations with a database-wide
 //! annotation index (abstract tagging means annotations identify tuples).
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, hash_map, BTreeMap, HashMap};
 use std::fmt;
 
 use prov_semiring::Annotation;
@@ -75,8 +75,8 @@ pub struct DeltaEvent {
 pub struct Database {
     relations: BTreeMap<RelName, Relation>,
     /// Reverse index: annotation → (relation, tuple). Well-defined because
-    /// the database is abstractly tagged.
-    by_annotation: BTreeMap<Annotation, (RelName, Tuple)>,
+    /// the database is abstractly tagged. Only ever probed by key.
+    by_annotation: HashMap<Annotation, (RelName, Tuple)>,
     /// Monotonic version stamp, bumped to a globally-unique value by every
     /// content mutation. Two databases sharing a stamp have equal content
     /// (either both are pristine-empty, or one is an unmutated clone of
@@ -117,7 +117,7 @@ impl Database {
     pub fn with_delta_capacity(capacity: usize) -> Self {
         Database {
             relations: BTreeMap::new(),
-            by_annotation: BTreeMap::new(),
+            by_annotation: HashMap::new(),
             generation: 0,
             delta_log: Vec::new(),
             log_base: 0,
@@ -280,6 +280,105 @@ impl Database {
             annotation,
         });
         Some(annotation)
+    }
+}
+
+/// The error for a tuple whose arity differs from its relation's.
+pub(crate) fn arity_mismatch(rel: RelName, arity: usize, tuple: &Tuple) -> String {
+    format!("{rel} has arity {arity}, got a {}-tuple", tuple.arity())
+}
+
+/// The error for an annotation that would tag a second tuple.
+pub(crate) fn retagged(annotation: Annotation, rel: RelName, tuple: &Tuple) -> String {
+    format!(
+        "annotation {annotation} already tags {rel}{tuple} \
+         (databases must be abstractly tagged)"
+    )
+}
+
+/// A new database lineage, filled from a whole file's tuples.
+///
+/// Each [`BulkLoad::insert`] applies the checks of
+/// [`checked_insert`](crate::textio::checked_insert), as errors, but none
+/// of a live database's bookkeeping: no delta events and no per-tuple
+/// generation stamps. [`BulkLoad::finish`] mints one stamp for the whole
+/// load (none for an empty one, which keeps stamp 0) and starts the delta
+/// log empty at that stamp, so `deltas_since` any older stamp is `None`
+/// and consumers rebuild, as they must for a new lineage.
+pub(crate) struct BulkLoad<'t> {
+    db: Database,
+    /// Expected rows per relation name, to size each relation once.
+    row_hints: HashMap<&'t str, usize>,
+}
+
+impl<'t> BulkLoad<'t> {
+    /// An empty load whose database keeps `delta_capacity` delta events;
+    /// a relation first seen here is sized for `row_hints[name]` rows.
+    pub(crate) fn new(delta_capacity: usize, row_hints: HashMap<&'t str, usize>) -> Self {
+        let mut db = Database::with_delta_capacity(delta_capacity);
+        db.by_annotation.reserve(row_hints.values().sum());
+        BulkLoad { db, row_hints }
+    }
+
+    /// Adds one tuple under `annotation`, or under `fresh()` when it has
+    /// none and the tuple is new. A repeated tuple is a no-op. Errors, as
+    /// `checked_insert` words them: an arity other than the relation's,
+    /// an annotation that tags a different tuple. After an error the load
+    /// is to be dropped.
+    pub(crate) fn insert(
+        &mut self,
+        rel: RelName,
+        tuple: Tuple,
+        annotation: Option<Annotation>,
+        fresh: impl FnOnce() -> Annotation,
+    ) -> Result<(), String> {
+        let relation = match self.db.relations.entry(rel) {
+            btree_map::Entry::Occupied(slot) => {
+                let relation = slot.into_mut();
+                if relation.arity() != tuple.arity() {
+                    return Err(arity_mismatch(rel, relation.arity(), &tuple));
+                }
+                relation
+            }
+            btree_map::Entry::Vacant(slot) => {
+                let rows = self.row_hints.get(rel.name()).copied().unwrap_or(0);
+                slot.insert(Relation::with_capacity(rel, tuple.arity(), rows))
+            }
+        };
+        let by_annotation = &mut self.db.by_annotation;
+        match annotation {
+            Some(a) => match by_annotation.entry(a) {
+                hash_map::Entry::Occupied(tagged) => {
+                    let (r0, t0) = tagged.get();
+                    if !(*r0 == rel && *t0 == tuple) {
+                        return Err(retagged(a, *r0, t0));
+                    }
+                }
+                hash_map::Entry::Vacant(slot) => {
+                    if let Some(row) = relation.push_absent(tuple, || a) {
+                        slot.insert((rel, relation.row(row).0.clone()));
+                    }
+                }
+            },
+            None => {
+                if let Some(row) = relation.push_absent(tuple, fresh) {
+                    let (tuple, a) = relation.row(row);
+                    by_annotation.insert(*a, (rel, tuple.clone()));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The loaded database, stamped as one new lineage.
+    pub(crate) fn finish(self) -> Database {
+        let mut db = self.db;
+        // Every inserted tuple is in the annotation index.
+        if !db.by_annotation.is_empty() {
+            db.generation = next_generation();
+            db.log_base = db.generation;
+        }
+        db
     }
 }
 

@@ -31,8 +31,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::database::{ensure_generation_floor, Database, DeltaEvent, DeltaKind};
-use crate::snapshot::{load_snapshot, parse_snapshot_into, write_snapshot, SnapshotLoad};
-use crate::textio::checked_insert;
+use crate::snapshot::{load_snapshot, write_snapshot, SnapshotLoad};
+use crate::textio::{checked_insert, parse_database_with_delta_capacity};
 use crate::wal::{read_wal, FsyncPolicy, WalWriter};
 
 /// The WAL's file name inside a data directory.
@@ -144,11 +144,17 @@ pub fn recover_readonly(
     report.generation_floor = report.snapshot_generation.max(wal_max);
     ensure_generation_floor(report.generation_floor);
 
-    let mut db = Database::with_delta_capacity(delta_capacity);
-    if let Some(text) = snapshot_text {
-        report.snapshot_tuples =
-            parse_snapshot_into(&mut db, &text).map_err(|e| format!("snapshot: {e}"))?;
-    }
+    // The snapshot loads as one lineage step (one stamp, an empty delta
+    // log); the WAL tail then replays event by event on top of it.
+    let mut db = match snapshot_text {
+        Some(text) => {
+            let db = parse_database_with_delta_capacity(&text, delta_capacity)
+                .map_err(|e| format!("snapshot: {e}"))?;
+            report.snapshot_tuples = db.num_tuples();
+            db
+        }
+        None => Database::with_delta_capacity(delta_capacity),
+    };
     for (i, event) in replay.events.iter().enumerate() {
         if event.generation <= report.snapshot_generation {
             report.wal_skipped += 1;

@@ -1,6 +1,7 @@
 //! Annotated relations: `N[X]`-relations in the abstractly-tagged style of
 //! paper §2.3 — every tuple carries a distinct annotation from `X`.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -22,11 +23,16 @@ pub struct Relation {
 impl Relation {
     /// Creates an empty relation.
     pub fn new(name: RelName, arity: usize) -> Self {
+        Relation::with_capacity(name, arity, 0)
+    }
+
+    /// Creates an empty relation with room for `rows` tuples.
+    pub(crate) fn with_capacity(name: RelName, arity: usize, rows: usize) -> Self {
         Relation {
             name,
             arity,
-            rows: Vec::new(),
-            index: HashMap::new(),
+            rows: Vec::with_capacity(rows),
+            index: HashMap::with_capacity(rows),
         }
     }
 
@@ -60,11 +66,27 @@ impl Relation {
             "arity mismatch inserting into {}",
             self.name
         );
-        if self.index.contains_key(&tuple) {
-            return;
+        self.push_absent(tuple, || annotation);
+    }
+
+    /// Appends `tuple`, tagged with what `annotation` returns, unless the
+    /// relation already holds it; returns the new row's id. One hash
+    /// lookup, and `annotation` runs only for a new row. The caller has
+    /// checked the arity.
+    pub(crate) fn push_absent(
+        &mut self,
+        tuple: Tuple,
+        annotation: impl FnOnce() -> Annotation,
+    ) -> Option<usize> {
+        match self.index.entry(tuple) {
+            Entry::Occupied(_) => None,
+            Entry::Vacant(slot) => {
+                let row = self.rows.len();
+                self.rows.push((slot.key().clone(), annotation()));
+                slot.insert(row);
+                Some(row)
+            }
         }
-        self.index.insert(tuple.clone(), self.rows.len());
-        self.rows.push((tuple, annotation));
     }
 
     /// Inserts a tuple with a fresh abstract annotation.

@@ -22,7 +22,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::database::Database;
-use crate::textio::{format_database, parse_database_into};
+use crate::textio::format_database;
 
 /// The live snapshot's file name inside a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.db";
@@ -65,8 +65,10 @@ pub enum SnapshotLoad {
     Missing,
     /// The snapshot parsed cleanly.
     Loaded {
-        /// The raw text body (header included) — parse it with
-        /// [`parse_snapshot_into`] once the generation floor is raised.
+        /// The raw text body (header included; a comment to the text
+        /// loader) — parse it with
+        /// [`parse_database_with_delta_capacity`](crate::textio::parse_database_with_delta_capacity)
+        /// once the generation floor is raised.
         text: String,
         /// The generation stamp recorded in the header (0 when the file
         /// carries no header, i.e. it is a plain textio database).
@@ -110,18 +112,10 @@ pub fn load_snapshot(dir: &Path) -> io::Result<SnapshotLoad> {
     Ok(SnapshotLoad::Loaded { text, generation })
 }
 
-/// Parses a loaded snapshot's text into `db` (the header line is a
-/// comment to the parser). Returns the tuple count, or the parse error —
-/// cross-line inconsistencies included — without panicking.
-pub fn parse_snapshot_into(db: &mut Database, text: &str) -> Result<usize, String> {
-    let before = db.num_tuples();
-    parse_database_into(db, text).map_err(|e| e.to_string())?;
-    Ok(db.num_tuples() - before)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::textio::{parse_database, parse_database_with_delta_capacity};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("provmin_snap_{tag}_{}", std::process::id()));
@@ -141,8 +135,9 @@ mod tests {
             panic!("expected a loaded snapshot");
         };
         assert_eq!(generation, db.generation());
-        let mut restored = Database::new();
-        assert_eq!(parse_snapshot_into(&mut restored, &text).unwrap(), 2);
+        let restored = parse_database_with_delta_capacity(&text, 7).unwrap();
+        assert_eq!(restored.num_tuples(), 2);
+        assert_eq!(restored.delta_capacity(), 7);
         assert_eq!(
             format_database(&restored),
             format_database(&db),
@@ -183,15 +178,13 @@ mod tests {
             panic!("expected a loaded snapshot");
         };
         assert_eq!(generation, 0);
-        let mut db = Database::new();
-        assert_eq!(parse_snapshot_into(&mut db, &text).unwrap(), 1);
+        assert_eq!(parse_database(&text).unwrap().num_tuples(), 1);
         // Semantically-invalid content is an error, not a panic.
         fs::write(snapshot_path(&dir), b"R(a) : dup\nR(b) : dup\n").unwrap();
         let SnapshotLoad::Loaded { text, .. } = load_snapshot(&dir).unwrap() else {
             panic!("expected a loaded snapshot");
         };
-        let mut db = Database::new();
-        assert!(parse_snapshot_into(&mut db, &text).is_err());
+        assert!(parse_database(&text).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use prov_semiring::Interner;
+use prov_semiring::{InternBatch, Interner};
 
 static VALUE_POOL: Interner = Interner::new();
 static REL_POOL: Interner = Interner::new();
@@ -16,6 +16,9 @@ static REL_POOL: Interner = Interner::new();
 pub struct Value(u32);
 
 impl Value {
+    /// Fills unused slots of fixed-size storage; never read as a value.
+    pub(crate) const PADDING: Value = Value(0);
+
     /// Interns a value by name.
     pub fn new(name: &str) -> Self {
         Value(VALUE_POOL.intern(name))
@@ -109,6 +112,34 @@ impl fmt::Debug for RelName {
 impl From<&str> for RelName {
     fn from(name: &str) -> Self {
         RelName::new(name)
+    }
+}
+
+/// Values and relation names interned under one holding of each pool's
+/// writer lock, with ids in call order (see [`Interner::batch`]). The
+/// value lock is taken before the relation-name lock; a caller that also
+/// batches annotations takes that lock after this. While a batch lives,
+/// this thread must not call [`Value::new`] or [`RelName::new`].
+pub(crate) struct SymbolBatch {
+    values: InternBatch<'static>,
+    rels: InternBatch<'static>,
+}
+
+impl SymbolBatch {
+    pub(crate) fn new() -> Self {
+        let values = VALUE_POOL.batch();
+        let rels = REL_POOL.batch();
+        SymbolBatch { values, rels }
+    }
+
+    /// As [`Value::new`].
+    pub(crate) fn value(&mut self, name: &str) -> Value {
+        Value(self.values.intern(name))
+    }
+
+    /// As [`RelName::new`].
+    pub(crate) fn rel(&mut self, name: &str) -> RelName {
+        RelName(self.rels.intern(name))
     }
 }
 

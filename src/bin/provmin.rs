@@ -85,7 +85,7 @@ use provmin::core::minimize::{minimize_with, MinimizeOptions, MinimizeOutcome, S
 use provmin::datalog::{core_query, evaluate, Program};
 use provmin::engine::{EvalOptions, EvalSession, MAX_THREADS};
 use provmin::prelude::*;
-use provmin::storage::textio::parse_database;
+use provmin::storage::textio::{parse_database, parse_database_with_delta_capacity};
 
 /// Exit code for a budget-exhausted (partial but sound) minimization.
 const EXIT_BUDGET_EXHAUSTED: u8 = 3;
@@ -256,12 +256,12 @@ fn main() -> ExitCode {
             // divergence / 2 flag errors), so it bypasses the shared
             // Ok/Err mapping below.
             return match parse_fuzz_flags(rest) {
-                Ok(FuzzCommand::ListSpecs) => {
+                Ok(FuzzCommand::ListSpecs) => exit_after_write(write_stdout(|out| {
                     for name in provmin::workload::ScenarioSpec::names() {
-                        println!("{name}");
+                        writeln!(out, "{name}")?;
                     }
-                    ExitCode::SUCCESS
-                }
+                    Ok(())
+                })),
                 Ok(FuzzCommand::Run(fuzz_options)) => run_fuzz(&fuzz_options),
                 Err(message) => {
                     eprintln!("error: {message}");
@@ -413,31 +413,49 @@ fn parse_fuzz_flags(args: &[String]) -> Result<FuzzCommand, String> {
 }
 
 /// `provmin fuzz`: exit 0 on agreement, 1 on divergence (with the
-/// reproducing triple printed), 1 on setup failures.
+/// reproducing triple printed), 1 on setup failures and on a failed
+/// stdout.
 fn run_fuzz(options: &provmin::fuzz::FuzzOptions) -> ExitCode {
     use provmin::fuzz::FuzzVerdict;
     match provmin::fuzz::run(options) {
         Ok(FuzzVerdict::Agreement {
             cases,
             eval_configs,
-        }) => {
-            println!(
+        }) => exit_after_write(write_stdout(|out| {
+            writeln!(
+                out,
                 "fuzz: OK — {cases} case(s) of spec={} seed={} agree across {} eval configs, \
                  semiring specialization, and every eligible minimize strategy \
                  (MinProv against the literal Algorithm 1)",
                 options.spec, options.seed, eval_configs
-            );
-            ExitCode::SUCCESS
-        }
+            )
+        })),
         Ok(FuzzVerdict::Diverged(divergence)) => {
-            println!("fuzz: DIVERGENCE {}", divergence.replay);
-            println!("  {}", divergence.detail);
-            println!(
-                "replay: provmin fuzz --spec {} --seed {} --case {}",
-                divergence.spec, divergence.seed, divergence.case
-            );
+            let written = write_stdout(|out| {
+                writeln!(out, "fuzz: DIVERGENCE {}", divergence.replay)?;
+                writeln!(out, "  {}", divergence.detail)?;
+                writeln!(
+                    out,
+                    "replay: provmin fuzz --spec {} --seed {} --case {}",
+                    divergence.spec, divergence.seed, divergence.case
+                )
+            });
+            if let Err(message) = written {
+                eprintln!("error: {message}");
+            }
             ExitCode::FAILURE
         }
+        Err(message) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Exit 0 after a successful write, else the `error:` line and exit 1.
+fn exit_after_write(written: Result<(), String>) -> ExitCode {
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
             ExitCode::FAILURE
@@ -569,8 +587,7 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
             // whatever the data directory held and is persisted as the
             // fresh snapshot before the first request is served.
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let mut db = Database::with_delta_capacity(config.delta_capacity);
-            provmin::storage::textio::parse_database_into(&mut db, &text)
+            let db = parse_database_with_delta_capacity(&text, config.delta_capacity)
                 .map_err(|e| format!("{path}: {e}"))?;
             if let Some(store) = store.as_mut() {
                 store
@@ -644,39 +661,44 @@ fn parse_recover_flags(args: &[String]) -> Result<RecoverArgs, String> {
 /// (exit 1).
 fn run_recover(args: RecoverArgs) -> Result<(), String> {
     let dir = std::path::Path::new(&args.data_dir);
-    let report = if args.check {
+    let (summary, report) = if args.check {
         let (db, report) =
             provmin::storage::recover_readonly(dir, provmin::storage::DELTA_LOG_CAPACITY)?;
-        println!(
+        let summary = format!(
             "recover --check: {} tuple(s) recoverable from {}",
             db.num_tuples(),
             args.data_dir
         );
-        report
+        (summary, report)
     } else {
         let (store, db) = provmin::storage::DurableStore::open(
             dir,
             provmin::storage::DurabilityOptions::default(),
         )?;
-        println!(
+        let summary = format!(
             "recover: compacted {} into a fresh snapshot ({} tuple(s))",
             args.data_dir,
             db.num_tuples()
         );
-        store.last_recovery().clone()
+        (summary, store.last_recovery().clone())
     };
-    println!(
-        "  snapshot: generation {} ({} tuple(s))",
-        report.snapshot_generation, report.snapshot_tuples
-    );
-    println!(
-        "  wal: {} replayed, {} stale, {} byte(s) dropped",
-        report.wal_replayed, report.wal_skipped, report.wal_dropped_bytes
-    );
-    if let Some(why) = &report.corruption {
-        println!("  corruption: {why}");
-    }
-    Ok(())
+    write_stdout(|out| {
+        writeln!(out, "{summary}")?;
+        writeln!(
+            out,
+            "  snapshot: generation {} ({} tuple(s))",
+            report.snapshot_generation, report.snapshot_tuples
+        )?;
+        writeln!(
+            out,
+            "  wal: {} replayed, {} stale, {} byte(s) dropped",
+            report.wal_replayed, report.wal_skipped, report.wal_dropped_bytes
+        )?;
+        if let Some(why) = &report.corruption {
+            writeln!(out, "  corruption: {why}")?;
+        }
+        Ok(())
+    })
 }
 
 fn run_with_db(
@@ -715,6 +737,9 @@ fn run_with_db(
         rows = write_rows(out, cmd, &result, &q, &db)?;
         Ok(())
     });
+    // The process exits next: freeing every tuple, view and polynomial
+    // one allocation at a time would only delay that exit.
+    std::mem::forget((db, session, result));
     rows.and(written)
 }
 

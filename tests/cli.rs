@@ -102,23 +102,70 @@ fn minimize_q3_output_is_pinned() {
     assert_eq!(stdout(&output), include_str!("fixtures/minimize_q3.out"));
 }
 
+/// The query the `load_mix` fixtures were recorded with: a union whose
+/// answers name both relations' named and fresh annotations.
+const LOAD_MIX_QUERY: &str =
+    "ans(x) :- R(x,y), R(y,x), S(x); ans(x) :- R(x,c), S(x); ans(x) :- R(x,x), S(x)";
+
+#[test]
+fn eval_and_core_output_is_pinned() {
+    // Comments, blank lines, quoted values, repeated tuples, and fresh
+    // `@k` annotations interleaved with named ones (one named `@9`, which
+    // a later fresh name must skip): the loader's symbol ids, hence row
+    // and monomial order, byte for byte as the committed fixtures.
+    let db = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/load_mix.db");
+    for (cmd, expected) in [
+        ("eval", include_str!("fixtures/load_mix_eval.out")),
+        ("core", include_str!("fixtures/load_mix_core.out")),
+    ] {
+        let output = provmin(&[cmd, db, LOAD_MIX_QUERY]);
+        assert_eq!(code(&output), 0, "{cmd}");
+        assert_eq!(stdout(&output), expected, "{cmd}");
+    }
+    // The first error wins, a semantic one before a later syntax error.
+    let bad = TempDb::new("first_error", "R(a, b) : e1\nR(c, d) : e1\nR(c\n");
+    let output = provmin(&["eval", bad.path(), "ans(x) :- R(x,y)"]);
+    assert_eq!(code(&output), 1);
+    assert_eq!(
+        String::from_utf8_lossy(&output.stderr),
+        format!(
+            "error: {}: line 2: annotation e1 already tags R(a,b) \
+             (databases must be abstractly tagged)\n",
+            bad.path()
+        )
+    );
+}
+
 #[test]
 fn closed_stdout_pipe_is_1_not_a_panic() {
-    for cmd in ["minimize", "trace"] {
+    let snapshot_dir =
+        std::env::temp_dir().join(format!("provmin_cli_closed_stdout_{}", std::process::id()));
+    std::fs::create_dir_all(&snapshot_dir).expect("temp dir");
+    std::fs::write(snapshot_dir.join("snapshot.db"), TABLE_2).expect("snapshot writes");
+    let data_dir = snapshot_dir.to_str().expect("utf-8 temp dir");
+    let runs: [&[&str]; 5] = [
+        &["minimize", Q3],
+        &["trace", Q3],
+        &["fuzz", "--list-specs"],
+        &["fuzz", "--spec", "mixed", "--seed", "1", "--cases", "2"],
+        &["recover", "--data-dir", data_dir, "--check"],
+    ];
+    for args in runs {
         // The read end is gone before the process starts, so every write
         // fails with a broken pipe.
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
         let output = Command::new(env!("CARGO_BIN_EXE_provmin"))
-            .args([cmd, Q3])
+            .args(args)
             .stdout(writer)
             .output()
             .expect("provmin binary runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(code(&output), 1, "{cmd}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
-        assert!(stderr.starts_with("error: stdout:"), "{cmd}: {stderr}");
+        assert_eq!(code(&output), 1, "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: stdout:"), "{args:?}: {stderr}");
     }
+    std::fs::remove_dir_all(&snapshot_dir).expect("temp dir removes");
 }
 
 #[test]
