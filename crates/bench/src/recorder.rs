@@ -262,9 +262,9 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
     });
 
     // B6 minprov_blowup — the Theorem 4.10 family: the engine unbounded
-    // (qn/2 is below the keying threshold, qn/3 is keyed), the literal
-    // Algorithm 1 it is checked against, and budgeted (the serving
-    // configuration: bounded steps, sound partial result).
+    // (orbit pruning skips 6 of qn/2's 15 candidates and 137 of qn/3's
+    // 203), the literal Algorithm 1 it is checked against, and budgeted
+    // (the serving configuration: bounded steps, sound partial result).
     use prov_core::minimize::{minimize_with, Budget, MinimizeOptions};
     use prov_core::minprov::minprov_trace;
     use prov_query::UnionQuery;

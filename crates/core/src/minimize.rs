@@ -8,12 +8,13 @@
 //! (Theorem 4.10 guarantees exponential worst cases):
 //!
 //! * **streaming enumeration** — candidate subqueries come from
-//!   [`prov_query::canonical::completions_iter`], one at a time, never as
-//!   a materialized exponential set;
-//! * **memoization** — candidates are deduped by canonical form
-//!   ([`prov_query::canonical::canonical_key`]) before any homomorphism
-//!   search runs; inputs with at most 32 candidate completions are not
-//!   keyed, as keying would cost more than it saves;
+//!   [`prov_query::canonical::orbit_completions`], one at a time, never
+//!   as a materialized exponential set;
+//! * **orbit pruning** — a candidate whose variable partition an
+//!   automorphism of its adjunct maps to an earlier partition is
+//!   isomorphic to an earlier candidate, so it is skipped before it is
+//!   built or searched; isomorphic candidates from different orbits are
+//!   left to dominance pruning;
 //! * **one compiled kernel** — each disjunct is compiled once
 //!   ([`CompiledQuery`]) and every containment check runs the
 //!   homomorphism kernel on the compiled pair;
@@ -37,12 +38,13 @@
 //! [`crate::minprov::minprov_trace`], the oracle the engine's tests
 //! compare against.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-use prov_query::canonical::{bell_number, canonical_key, completions_iter, CanonicalKey};
+use prov_query::canonical::{orbit_completions, CompletionStep, CompletionSteps};
 use prov_query::homomorphism::CompiledQuery;
 use prov_query::{ConjunctiveQuery, UnionQuery};
+use prov_storage::Value;
 
 use crate::standard::{minimize_complete_unchecked, minimize_cq, prune_contained};
 
@@ -226,8 +228,9 @@ impl MinimizeOutcome {
 pub struct MinimizeStats {
     /// Candidate completions processed (= budget steps consumed).
     pub steps: u64,
-    /// Candidates skipped because an isomorphic candidate was already
-    /// processed (canonical-key memo hit; zero hom searches spent).
+    /// Candidates skipped because an automorphism of their adjunct maps
+    /// their partition to an earlier one: isomorphic to an earlier
+    /// candidate, never built, zero hom searches spent.
     pub memo_dedup_skips: u64,
     /// Candidates skipped by the cheap relation-signature pre-check or a
     /// containment verdict against an accepted disjunct.
@@ -237,9 +240,6 @@ pub struct MinimizeStats {
     /// Containment checks that went past the cheap pre-check (each one
     /// homomorphism search).
     pub hom_checks: u64,
-    /// Candidates keyed by canonical form (zero on inputs too small to
-    /// key).
-    pub keyed_candidates: u64,
 }
 
 /// An accepted/candidate disjunct with its precomputed containment-check
@@ -260,32 +260,14 @@ impl Disjunct {
     }
 }
 
-/// Candidate spaces at or below this many completions are not keyed:
-/// ~2 disjuncts of Bell(4) = 15 completions each, the regime where the
-/// fixed per-candidate keying cost (~5–7 µs, the `minprov_blowup/qn/2`
-/// overhead documented in `docs/PERF.md`) can never be amortized by
-/// dedup wins.
-const TINY_CANDIDATE_THRESHOLD: u64 = 32;
-
-/// Upper bound on the `MinProv` candidate space: completions of an
-/// adjunct are variable-set partitions, so Σ Bell(#vars) over adjuncts
-/// (saturating).
-fn candidate_estimate(q: &UnionQuery) -> u64 {
-    q.adjuncts()
-        .iter()
-        .map(|a| bell_number(a.variables().len()))
-        .fold(0, u64::saturating_add)
-}
+/// Draws the completions of an adjunct w.r.t. the run's constant set.
+type Enumerate = for<'a> fn(&'a ConjunctiveQuery, &BTreeSet<Value>) -> CompletionSteps<'a>;
 
 /// The unified minimization engine; its counters accumulate across calls.
 #[derive(Debug, Default)]
 pub struct Minimizer {
     options: MinimizeOptions,
     stats: MinimizeStats,
-    /// Whether the current call keys candidates by canonical form: off
-    /// for inputs whose candidate estimate is at most
-    /// [`TINY_CANDIDATE_THRESHOLD`].
-    keyed: bool,
 }
 
 impl Minimizer {
@@ -309,16 +291,17 @@ impl Minimizer {
 
     /// Minimizes `q` under the engine's strategy and budget.
     pub fn minimize(&mut self, q: &UnionQuery) -> Result<MinimizeOutcome, MinimizeError> {
-        self.keyed = candidate_estimate(q) > TINY_CANDIDATE_THRESHOLD;
         match self.options.strategy {
-            Strategy::MinProv => Ok(self.run_minprov(q, Cursor::default(), Vec::new())),
+            Strategy::MinProv => {
+                Ok(self.run_minprov(q, Cursor::default(), Vec::new(), orbit_completions))
+            }
             Strategy::Auto => {
                 if q.is_complete() {
                     Ok(MinimizeOutcome::Complete(
                         self.run_per_adjunct(q, minimize_complete_unchecked),
                     ))
                 } else {
-                    Ok(self.run_minprov(q, Cursor::default(), Vec::new()))
+                    Ok(self.run_minprov(q, Cursor::default(), Vec::new(), orbit_completions))
                 }
             }
             Strategy::Standard => {
@@ -347,53 +330,43 @@ impl Minimizer {
         q: &UnionQuery,
         partial: PartialMinimization,
     ) -> Result<MinimizeOutcome, MinimizeError> {
-        self.keyed = candidate_estimate(q) > TINY_CANDIDATE_THRESHOLD;
-        Ok(self.run_minprov(q, partial.cursor, partial.accepted))
+        Ok(self.run_minprov(q, partial.cursor, partial.accepted, orbit_completions))
     }
 
     /// The streaming `MinProv` driver: steps I–III of Algorithm 1 fused
-    /// over a lazy completion stream, with memo dedup, dominance pruning
-    /// and budget accounting.
+    /// over a lazy completion stream, with orbit pruning, dominance
+    /// pruning and budget accounting. `enumerate` draws each adjunct's
+    /// completions: the engine always passes [`orbit_completions`], and
+    /// tests compare it with the full stream.
     fn run_minprov(
         &mut self,
         q: &UnionQuery,
         cursor: Cursor,
         accepted_seed: Vec<ConjunctiveQuery>,
+        enumerate: Enumerate,
     ) -> MinimizeOutcome {
         let consts = q.constants();
         let started = Instant::now();
         let deadline = self.options.budget.max_duration.map(|d| started + d);
         let mut steps_used = 0u64;
 
-        // Canonical keys of every candidate processed so far on keyed runs
-        // (rebuilt from the accepted seed on resume; skipped candidates
-        // are covered by the dominance check, so this is an optimization,
-        // not state).
-        let mut seen: HashSet<CanonicalKey> = HashSet::new();
-        if self.keyed {
-            seen.extend(accepted_seed.iter().map(canonical_key));
-        }
         // Accepted disjuncts with their precomputed containment-check
         // state — computed once per disjunct, not once per check.
         let mut accepted: Vec<Disjunct> = accepted_seed.into_iter().map(Disjunct::new).collect();
 
         for ai in cursor.adjunct..q.adjuncts().len() {
             let adjunct = &q.adjuncts()[ai];
-            let mut stream = completions_iter(adjunct, &consts);
+            let mut stream = enumerate(adjunct, &consts);
             let mut ci = 0usize;
             if ai == cursor.adjunct {
-                // Skip already-processed completions (deterministic order).
-                while ci < cursor.completion {
-                    if stream.next().is_none() {
-                        break;
-                    }
-                    ci += 1;
-                }
+                // Skip already-processed positions (deterministic order),
+                // building nothing.
+                ci = stream.skip_positions(cursor.completion);
             }
             // Draw first, budget-check second: a budget equal to the exact
             // candidate count must complete, not return a spurious Partial
             // after the enumeration is already done.
-            for completion in stream {
+            for step in stream {
                 let budget_hit = self
                     .options
                     .budget
@@ -420,20 +393,17 @@ impl Minimizer {
                 steps_used += 1;
                 self.stats.steps += 1;
 
+                // Orbit pruning: isomorphic to an earlier candidate ⇒
+                // nothing new, zero hom searches. (The earlier one is
+                // contained in an accepted disjunct, so dominance would
+                // skip this one too.)
+                let CompletionStep::Leader(completion) = step else {
+                    self.stats.memo_dedup_skips += 1;
+                    continue;
+                };
                 // Step II (Lemma 3.13): minimize the complete candidate by
                 // atom dedup.
-                let cand = minimize_complete_unchecked(&completion.query);
-
-                // Memoized canonical-form dedup: isomorphic to an earlier
-                // candidate ⇒ nothing new, zero hom searches.
-                if self.keyed {
-                    self.stats.keyed_candidates += 1;
-                    if !seen.insert(canonical_key(&cand)) {
-                        self.stats.memo_dedup_skips += 1;
-                        continue;
-                    }
-                }
-                let cand = Disjunct::new(cand);
+                let cand = Disjunct::new(minimize_complete_unchecked(&completion.query));
 
                 // Step III, streaming: skip the candidate if subsumed
                 // by an accepted disjunct ...
@@ -585,7 +555,7 @@ mod tests {
         assert!(out.adjunct_wise_isomorphic(&oracle.output));
         assert!(
             engine.stats().hom_checks < oracle.containment_checks,
-            "memoized engine must spend fewer hom checks: {:?} vs {}",
+            "orbit pruning must spend fewer hom checks: {:?} vs {}",
             engine.stats(),
             oracle.containment_checks
         );
@@ -701,36 +671,80 @@ mod tests {
     }
 
     #[test]
-    fn tiny_inputs_skip_keying() {
-        // Regression for the ~80 µs fixed overhead on minprov_blowup/qn/2:
-        // tiny inputs must not pay per-candidate canonical keying.
-        let tiny = UnionQuery::single(qn_family(2)); // 4 vars → Bell(4) = 15
-        assert!(candidate_estimate(&tiny) <= TINY_CANDIDATE_THRESHOLD);
-        let mut engine = Minimizer::new(MinimizeOptions::default());
-        let out = engine.minimize(&tiny).unwrap().into_query();
-        assert_eq!(
-            engine.stats().keyed_candidates,
-            0,
-            "tiny input must skip canonical keying entirely: {:?}",
-            engine.stats()
-        );
-        assert_eq!(engine.stats().memo_dedup_skips, 0);
-        assert!(out.adjunct_wise_isomorphic(&minprov_trace(&tiny).output));
+    fn small_inputs_skip_orbit_copies() {
+        // No input is too small for orbit pruning: it costs one pass over
+        // Aut(Q) per partition and builds nothing for a skipped position.
+        // The triangle's rotations put its three one-merge partitions in
+        // one orbit; Q_2's four automorphisms leave 9 of Bell(4) = 15 leaders.
+        let triangle = parse_cq("ans() :- R(x,y), R(y,z), R(z,x)").unwrap();
+        for (q, steps, skips) in [(triangle, 5, 2), (qn_family(2), 15, 6)] {
+            let q = UnionQuery::single(q);
+            let mut engine = Minimizer::new(MinimizeOptions::default());
+            let out = engine.minimize(&q).unwrap().into_query();
+            assert_eq!(engine.stats().steps, steps, "{q}");
+            assert_eq!(engine.stats().memo_dedup_skips, skips, "{q}");
+            assert!(out.adjunct_wise_isomorphic(&minprov_trace(&q).output));
+        }
+    }
 
-        // Above the threshold the memo must still engage (qn_family(3) has
-        // 6 vars → Bell(6) = 203 candidates — the regime where it wins).
-        let large = UnionQuery::single(qn_family(3));
-        assert!(candidate_estimate(&large) > TINY_CANDIDATE_THRESHOLD);
-        let mut engine = Minimizer::new(MinimizeOptions::default());
-        engine.minimize(&large).unwrap();
-        assert_eq!(engine.stats().keyed_candidates, 203, "large input must key");
-        assert!(engine.stats().memo_dedup_skips > 0);
+    /// The driver's stream with no automorphism to skip by: every
+    /// position built.
+    fn full_stream<'a>(q: &'a ConjunctiveQuery, consts: &BTreeSet<Value>) -> CompletionSteps<'a> {
+        prov_query::canonical::completions_iter(q, consts).into_steps()
+    }
+
+    #[test]
+    fn orbit_pruning_keeps_the_output_byte_identical_and_resumable() {
+        // Symmetric queries with constants and head variables: the
+        // driver prints the same string with the trivial group as with
+        // Aut(Q), and resuming from every cursor reaches it too. (The
+        // first query's two one-constant completions are isomorphic but
+        // share a partition, so dominance, not the orbit test, drops the
+        // second.)
+        let mut skips = 0;
+        for text in [
+            "ans() :- R(x,y), R(y,x), S(x,'a'), S(y,'a')",
+            "ans(x) :- R(x,y), R(x,z), S(y,z), S(z,y), y != 'b'",
+            "ans() :- R(x,y), R(y,z), R(z,x), S(x,'a'), S(y,'a'), S(z,'a')",
+            "ans() :- R1(x1,y1), R1(y1,x1), R2(x2,y2), R2(y2,x2)",
+        ] {
+            let q = parse_ucq(text).unwrap();
+            let mut trivial = Minimizer::new(MinimizeOptions::default());
+            let reference = trivial
+                .run_minprov(&q, Cursor::default(), Vec::new(), full_stream)
+                .into_query()
+                .to_string();
+            assert_eq!(trivial.stats().memo_dedup_skips, 0, "{text}");
+            let mut orbits = Minimizer::new(MinimizeOptions::default());
+            let out = orbits.minimize(&q).unwrap().into_query();
+            assert_eq!(out.to_string(), reference, "{text}");
+            skips += orbits.stats().memo_dedup_skips;
+            assert_eq!(orbits.stats().steps, trivial.stats().steps, "{text}");
+
+            for cut in 0..orbits.stats().steps {
+                let budget = MinimizeOptions::default().budgeted(Budget::steps(cut));
+                let MinimizeOutcome::Partial(partial) = minimize_with(&q, budget).unwrap() else {
+                    panic!("{text}: {cut} steps cannot finish");
+                };
+                let resumed = Minimizer::new(MinimizeOptions::default())
+                    .resume(&q, partial)
+                    .unwrap();
+                assert!(resumed.is_complete());
+                assert_eq!(
+                    resumed.query().to_string(),
+                    reference,
+                    "{text} cut at {cut}"
+                );
+            }
+        }
+        assert!(skips > 0);
     }
 
     #[test]
     fn q3_work_counts_are_pinned() {
         // Every decision of a `/minimize` of Q_3, counted: the kernel and
-        // the integer keys change what a step costs, never what it does.
+        // orbit pruning change what a step costs, never what it does —
+        // Q_3's 66 orbit leaders are its 66 isomorphism classes.
         let mut engine = Minimizer::new(MinimizeOptions::default());
         let out = engine
             .minimize(&UnionQuery::single(qn_family(3)))
@@ -745,16 +759,14 @@ mod tests {
                 dominance_skips: 0,
                 accepted_evictions: 0,
                 hom_checks: 2734,
-                keyed_candidates: 203,
             }
         );
     }
 
     #[test]
     fn output_carries_no_isomorphic_duplicates() {
-        // An unkeyed input (5 candidates) and a keyed one (Q_3): neither
-        // run dedups at the end; step III leaves no disjunct containing
-        // another.
+        // A small input (5 candidates) and Q_3: neither run dedups at the
+        // end; step III leaves no disjunct containing another.
         let triangle = parse_cq("ans() :- R(x,y), R(y,z), R(z,x)").unwrap();
         for q in [triangle, qn_family(3)] {
             let out = minimize_with(&UnionQuery::single(q), MinimizeOptions::default())

@@ -89,7 +89,7 @@ pub fn minprov_trace(q: &UnionQuery) -> MinProvTrace {
 ///
 /// This entry point drives the unified engine
 /// ([`crate::minimize::Minimizer`]) with its defaults: streaming
-/// enumeration, canonical-form memoization and dominance pruning, no
+/// enumeration, orbit pruning and dominance pruning, no
 /// budget. For bounded work (a sound partial result within a step or
 /// deadline budget) use the engine directly with a
 /// [`crate::minimize::Budget`].

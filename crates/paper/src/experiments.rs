@@ -544,32 +544,31 @@ pub fn x3_parallel_eval() -> ExperimentReport {
 }
 
 /// X4 — Theorem 4.10 managed: on the exponential blowup family, the
-/// unified minimization engine's memoization measurably cuts the
-/// containment work of the literal Algorithm 1, and a step-budgeted run
+/// unified minimization engine's orbit pruning measurably cuts the
+/// containment work of the literal Algorithm 1, its work counts on Q_3
+/// and Q_4 are pinned, and a step-budgeted run
 /// terminates within its budget with a *sound* (equivalent) partial
 /// result that resumes to the full p-minimal output.
 pub fn x4_budgeted_minimization() -> ExperimentReport {
     use prov_core::minimize::{Budget, MinimizeOptions, MinimizeOutcome, Minimizer};
+    use prov_query::homomorphism::count_automorphisms;
     let mut r = ExperimentReport::new("X4", "Extension: budget-bounded minimization (Thm 4.10)");
     let q = UnionQuery::single(qn_family(3));
 
     // The engine vs Algorithm 1 read literally (eager steps I–III, no
-    // memo): same output, far fewer containment checks.
-    let mut memoized = Minimizer::new(MinimizeOptions::default());
-    let out = memoized
-        .minimize(&q)
-        .expect("minprov is total")
-        .into_query();
+    // pruning): same output, far fewer containment checks.
+    let mut pruned = Minimizer::new(MinimizeOptions::default());
+    let out = pruned.minimize(&q).expect("minprov is total").into_query();
     let literal = minprov_trace(&q);
     r.line(format!(
         "Q_3: {} candidate completions → {} p-minimal adjuncts",
-        memoized.stats().steps,
+        pruned.stats().steps,
         out.len()
     ));
     r.line(format!(
-        "hom checks: engine {} (memo dedup skipped {} candidates) vs literal Algorithm 1 {}",
-        memoized.stats().hom_checks,
-        memoized.stats().memo_dedup_skips,
+        "hom checks: engine {} (orbit pruning skipped {} candidates) vs literal Algorithm 1 {}",
+        pruned.stats().hom_checks,
+        pruned.stats().memo_dedup_skips,
         literal.containment_checks
     ));
     r.check(
@@ -577,10 +576,32 @@ pub fn x4_budgeted_minimization() -> ExperimentReport {
         "the engine and literal Algorithm 1 agree on the p-minimal output",
     );
     r.check(
-        memoized.stats().hom_checks * 3 < literal.containment_checks * 2,
-        "memoization cuts containment checks by more than a third on Q_3",
+        pruned.stats().hom_checks * 3 < literal.containment_checks * 2,
+        "orbit pruning cuts containment checks by more than a third on Q_3",
     );
     r.check(equivalent(&out, &q), "Thm 4.6: output is equivalent to Q_3");
+
+    // The work of a full run, pinned: steps are positions of the Def 4.1
+    // stream, skips are positions outside their Aut(Q_n) orbit's leader.
+    for (n, steps, skips, hom_checks) in [(3, 203, 137, 2_734), (4, 4_140, 3_428, 318_693)] {
+        let cq = qn_family(n);
+        let mut engine = Minimizer::new(MinimizeOptions::default());
+        engine
+            .minimize(&UnionQuery::single(cq.clone()))
+            .expect("minprov is total");
+        let stats = engine.stats();
+        r.line(format!(
+            "Q_{n}: |Aut| = {}, {} steps, {} orbit skips, {} hom checks",
+            count_automorphisms(&cq),
+            stats.steps,
+            stats.memo_dedup_skips,
+            stats.hom_checks
+        ));
+        r.check(
+            (stats.steps, stats.memo_dedup_skips, stats.hom_checks) == (steps, skips, hom_checks),
+            &format!("Q_{n}: {steps} steps, {skips} orbit skips, {hom_checks} hom checks"),
+        );
+    }
 
     // Budgeted run: terminates within its step budget, stays sound.
     let budget_steps = 40u64;

@@ -12,12 +12,14 @@
 //! The number of completions is exponential (partitions of the variable
 //! set — Bell-number growth), which is the engine of Theorem 4.10.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use prov_storage::Value;
 
-use crate::atom::Diseq;
+use crate::atom::{Atom, Diseq};
 use crate::cq::ConjunctiveQuery;
+use crate::homomorphism::automorphism_permutations;
 use crate::term::{Term, Variable, CONST_TAG};
 use crate::ucq::UnionQuery;
 
@@ -29,6 +31,8 @@ use crate::ucq::UnionQuery;
 #[derive(Clone, Debug)]
 pub struct SetPartitionIter {
     rgs: Vec<usize>,
+    /// `maxes[i] = max(rgs[..=i])`, kept up to date as `rgs` advances.
+    maxes: Vec<usize>,
     state: PartitionIterState,
 }
 
@@ -46,8 +50,41 @@ impl SetPartitionIter {
     pub fn new(n: usize) -> Self {
         SetPartitionIter {
             rgs: vec![0; n],
+            maxes: vec![0; n],
             state: PartitionIterState::Fresh,
         }
+    }
+
+    /// Moves to the next partition and returns it, without copying it.
+    fn advance(&mut self) -> Option<&[usize]> {
+        match self.state {
+            PartitionIterState::Done => return None,
+            PartitionIterState::Fresh => {}
+            PartitionIterState::Advancing => {
+                // Lexicographic successor: the rightmost position that can
+                // move to a higher block (at most one past the prefix
+                // maximum) moves up, and everything to its right resets
+                // to block 0.
+                let Some(i) = (1..self.rgs.len())
+                    .rev()
+                    .find(|&i| self.rgs[i] <= self.maxes[i - 1])
+                else {
+                    self.state = PartitionIterState::Done;
+                    return None;
+                };
+                self.rgs[i] += 1;
+                let max = self.maxes[i - 1].max(self.rgs[i]);
+                self.rgs[i + 1..].fill(0);
+                self.maxes[i..].fill(max);
+            }
+        }
+        self.state = PartitionIterState::Advancing;
+        Some(&self.rgs)
+    }
+
+    /// The number of blocks of the current partition.
+    fn num_blocks(&self) -> usize {
+        self.maxes.last().map_or(0, |&m| m + 1)
     }
 }
 
@@ -55,33 +92,7 @@ impl Iterator for SetPartitionIter {
     type Item = Vec<usize>;
 
     fn next(&mut self) -> Option<Vec<usize>> {
-        match self.state {
-            PartitionIterState::Done => return None,
-            PartitionIterState::Fresh => {}
-            PartitionIterState::Advancing => {
-                // Lexicographic successor: find the rightmost position that
-                // can move to a higher block (at most one past the prefix
-                // maximum) and reset everything to its right to block 0.
-                let mut advanced = false;
-                for i in (1..self.rgs.len()).rev() {
-                    let prefix_max = self.rgs[..i].iter().copied().max().unwrap_or(0);
-                    if self.rgs[i] <= prefix_max {
-                        self.rgs[i] += 1;
-                        for slot in &mut self.rgs[i + 1..] {
-                            *slot = 0;
-                        }
-                        advanced = true;
-                        break;
-                    }
-                }
-                if !advanced {
-                    self.state = PartitionIterState::Done;
-                    return None;
-                }
-            }
-        }
-        self.state = PartitionIterState::Advancing;
-        Some(self.rgs.clone())
+        self.advance().map(<[usize]>::to_vec)
     }
 }
 
@@ -118,141 +129,288 @@ pub struct Completion {
     pub replacement: BTreeMap<Variable, Term>,
 }
 
-/// Streaming enumerator of the possible completions of a query
-/// (Def 4.1) — the exponential candidate axis of `MinProv` and of
-/// Theorem 4.10. Yields one [`Completion`] at a time so drivers can
-/// dedupe, prune, and budget without ever materializing the full set.
+/// One position of the Def 4.1 completion stream, as drawn by
+/// [`orbit_completions`].
+#[derive(Clone, Debug)]
+pub enum CompletionStep {
+    /// The completion at this position, built: its partition is the
+    /// lexicographic leader of its orbit under the query's automorphisms.
+    Leader(Completion),
+    /// The completion at this position is isomorphic to an earlier one
+    /// in the stream: an automorphism of the query maps its partition to
+    /// one with a lexicographically smaller restricted-growth string.
+    /// Nothing was built for it.
+    Isomorphic,
+}
+
+/// The orbit test takes at most this many automorphisms of a query
+/// (8!, `star(8)`'s whole group). Any set of automorphisms gives a sound
+/// test — each skip is justified by one automorphism — so a larger group
+/// is only cut, never wrong; fewer positions are then skipped.
+const MAX_SYMMETRIES: usize = 40_320;
+
+/// The one enumerator of a query's possible completions (Def 4.1) — the
+/// exponential candidate axis of `MinProv` and of Theorem 4.10. It draws
+/// one position of the stream at a time, so drivers can prune and budget
+/// without ever materializing the full set.
 ///
 /// Enumeration order is deterministic (partitions in RGS-lexicographic
 /// order; within a partition, constant assignments in odometer order with
 /// "fresh variable" before each constant), so a position in the stream is
 /// a stable, resumable cursor.
-pub struct CompletionIter<'a> {
+///
+/// Each variable partition is tested once against a set of the query's
+/// automorphisms (lex-leader symmetry breaking): if one maps it to an
+/// earlier partition, every completion of it is isomorphic to an earlier
+/// completion — the image partition with the image constant assignment —
+/// and its positions yield [`CompletionStep::Isomorphic`] without
+/// building anything. With no automorphisms (as in [`completions_iter`])
+/// every position is built.
+pub struct CompletionSteps<'a> {
     q: &'a ConjunctiveQuery,
+    /// `Var(q)`, sorted: a variable's index is its position.
     vars: Vec<Variable>,
-    const_list: Vec<Value>,
-    all_consts: BTreeSet<Value>,
-    partitions: SetPartitionIter,
-    current: Option<(Vec<usize>, AssignmentIter)>,
-}
-
-/// Odometer over injective partial assignments of constants to partition
-/// blocks: digit `0` = the block stays a fresh variable, digit `k` =
-/// the block is identified with `consts[k-1]`.
-struct AssignmentIter {
-    digits: Vec<usize>,
+    /// `v1, v2, …`: the fresh variable of each non-constant block,
+    /// interned once.
+    fresh: Vec<Variable>,
+    /// `C ∪ Const(q)`, sorted: assignment digit `k > 0` is `consts[k - 1]`.
     consts: Vec<Value>,
-    started: bool,
-    done: bool,
+    /// The query's variable–variable disequalities as index pairs.
+    var_diseqs: Vec<(usize, usize)>,
+    /// The query's variable–constant disequalities as (variable index,
+    /// digit of the constant).
+    const_diseqs: Vec<(usize, usize)>,
+    /// Automorphisms other than the identity, flattened as in
+    /// [`automorphism_permutations`].
+    symmetries: Vec<u32>,
+    partitions: SetPartitionIter,
+    /// Whether the current partition is its orbit's leader.
+    leader: bool,
+    /// The current constant assignment, one digit per block: `0` keeps
+    /// the block a fresh variable, `k` identifies it with `consts[k - 1]`.
+    digits: Vec<usize>,
+    /// Whether `digits` is a drawn position of the current partition
+    /// (false before the first partition and once its assignments run
+    /// out).
+    in_partition: bool,
+    /// Scratch space for the orbit test, one slot per block.
+    relabel: Vec<usize>,
 }
 
-impl AssignmentIter {
-    fn new(num_blocks: usize, consts: Vec<Value>) -> Self {
-        AssignmentIter {
-            digits: vec![0; num_blocks],
+impl<'a> CompletionSteps<'a> {
+    fn new(q: &'a ConjunctiveQuery, consts: &BTreeSet<Value>, automorphisms: &[u32]) -> Self {
+        let consts: Vec<Value> = consts.union(&q.constants()).copied().collect();
+        let vars: Vec<Variable> = q.variables().into_iter().collect();
+        let n = vars.len();
+        let index = |v: Variable| vars.binary_search(&v).expect("variable indexed");
+        let mut var_diseqs = Vec::new();
+        let mut const_diseqs = Vec::new();
+        for d in q.diseqs() {
+            match d.right() {
+                Term::Var(rv) => var_diseqs.push((index(d.left()), index(rv))),
+                Term::Const(c) => {
+                    let digit = consts.binary_search(&c).expect("constant listed") + 1;
+                    const_diseqs.push((index(d.left()), digit));
+                }
+            }
+        }
+        let symmetries: Vec<u32> = if n == 0 {
+            Vec::new()
+        } else {
+            automorphisms
+                .chunks_exact(n)
+                .filter(|perm| perm.iter().enumerate().any(|(i, &p)| p as usize != i))
+                .flatten()
+                .copied()
+                .collect()
+        };
+        CompletionSteps {
+            q,
+            fresh: (1..=n).map(|i| Variable::new(&format!("v{i}"))).collect(),
             consts,
-            started: false,
-            done: false,
+            var_diseqs,
+            const_diseqs,
+            symmetries,
+            partitions: SetPartitionIter::new(n),
+            leader: true,
+            digits: Vec::with_capacity(n),
+            in_partition: false,
+            relabel: vec![0; n],
+            vars,
         }
     }
 
-    fn assignment(&self) -> Vec<Option<Value>> {
-        self.digits
+    /// Moves past the next `n` positions without building anything and
+    /// returns how many there were (fewer at the end of the stream).
+    pub fn skip_positions(&mut self, n: usize) -> usize {
+        (0..n).take_while(|_| self.advance().is_some()).count()
+    }
+
+    /// Moves to the next position of the stream; returns whether its
+    /// partition is its orbit's leader.
+    fn advance(&mut self) -> Option<bool> {
+        if self.in_partition {
+            if next_assignment(
+                &mut self.digits,
+                self.consts.len(),
+                &self.const_diseqs,
+                &self.partitions.rgs,
+            ) {
+                return Some(self.leader);
+            }
+            self.in_partition = false;
+        }
+        // The next partition that keeps each disequality's sides apart.
+        loop {
+            let rgs = self.partitions.advance()?;
+            if self.var_diseqs.iter().all(|&(a, b)| rgs[a] != rgs[b]) {
+                break;
+            }
+        }
+        let num_blocks = self.partitions.num_blocks();
+        self.leader = !has_smaller_image(
+            &self.partitions.rgs,
+            &self.symmetries,
+            &mut self.relabel[..num_blocks],
+        );
+        // Every block fresh: injective, and no constant to clash with.
+        self.digits.clear();
+        self.digits.resize(num_blocks, 0);
+        self.in_partition = true;
+        Some(self.leader)
+    }
+
+    /// The completion at the current position.
+    fn build(&self) -> Completion {
+        let rgs = &self.partitions.rgs;
+        // Each block's term: its constant, or a new variable named v1,
+        // v2, ... as in the paper. Reusing these names across completions
+        // is safe: the replacement is total, so no original variable
+        // survives.
+        let mut fresh = self.fresh.iter().copied();
+        let block_terms: Vec<Term> = self
+            .digits
             .iter()
-            .map(|&d| (d > 0).then(|| self.consts[d - 1]))
-            .collect()
-    }
-
-    /// Whether no constant is assigned to two blocks.
-    fn injective(&self) -> bool {
-        let mut seen = vec![false; self.consts.len()];
-        for &d in &self.digits {
-            if d > 0 {
-                if seen[d - 1] {
-                    return false;
-                }
-                seen[d - 1] = true;
+            .map(|&d| match d {
+                0 => Term::Var(fresh.next().expect("one fresh variable per block")),
+                k => Term::Const(self.consts[k - 1]),
+            })
+            .collect();
+        let term = |t: Term| match t {
+            Term::Var(v) => {
+                block_terms[rgs[self.vars.binary_search(&v).expect("variable indexed")]]
+            }
+            c @ Term::Const(_) => c,
+        };
+        // Substitute into head and atoms; drop q's own disequalities (they
+        // are all satisfied by construction) and add the completeness set
+        // instead.
+        let head = self.q.head().map_terms(&mut |t| term(t));
+        let atoms: Vec<Atom> = self
+            .q
+            .atoms()
+            .iter()
+            .map(|a| a.map_terms(&mut |t| term(t)))
+            .collect();
+        let fresh_vars: Vec<Variable> = block_terms.iter().filter_map(Term::as_var).collect();
+        let mut diseqs: Vec<Diseq> = Vec::new();
+        for (i, &x) in fresh_vars.iter().enumerate() {
+            for &y in &fresh_vars[i + 1..] {
+                diseqs.push(Diseq::vars(x, y));
+            }
+            for &c in &self.consts {
+                diseqs.push(Diseq::var_const(x, c));
             }
         }
-        true
+        let query = ConjunctiveQuery::new(head, atoms, diseqs)
+            .expect("completion preserves well-formedness");
+        let replacement = self
+            .vars
+            .iter()
+            .zip(rgs)
+            .map(|(&v, &b)| (v, block_terms[b]))
+            .collect();
+        Completion { query, replacement }
     }
+}
 
-    /// Increments the odometer (last block fastest). Returns false once
-    /// the digit space is exhausted.
-    fn increment(&mut self) -> bool {
-        let base = self.consts.len();
-        let mut i = self.digits.len();
-        loop {
-            if i == 0 {
-                return false;
-            }
-            i -= 1;
-            if self.digits[i] < base {
-                self.digits[i] += 1;
-                for d in &mut self.digits[i + 1..] {
-                    *d = 0;
-                }
-                return true;
-            }
-            self.digits[i] = 0;
+impl Iterator for CompletionSteps<'_> {
+    type Item = CompletionStep;
+
+    fn next(&mut self) -> Option<CompletionStep> {
+        Some(if self.advance()? {
+            CompletionStep::Leader(self.build())
+        } else {
+            CompletionStep::Isomorphic
+        })
+    }
+}
+
+/// Advances `digits` (last block fastest) to the next injective constant
+/// assignment that breaks no variable–constant disequality; false once
+/// the assignments run out. Variable–variable disequalities need no
+/// check: their sides sit in different blocks, and two blocks never get
+/// the same constant.
+fn next_assignment(
+    digits: &mut [usize],
+    num_consts: usize,
+    const_diseqs: &[(usize, usize)],
+    rgs: &[usize],
+) -> bool {
+    loop {
+        let Some(i) = digits.iter().rposition(|&d| d < num_consts) else {
+            return false;
+        };
+        digits[i] += 1;
+        digits[i + 1..].fill(0);
+        let injective = digits
+            .iter()
+            .enumerate()
+            .all(|(b, &d)| d == 0 || !digits[..b].contains(&d));
+        if injective && const_diseqs.iter().all(|&(v, c)| digits[rgs[v]] != c) {
+            return true;
         }
     }
 }
 
-impl Iterator for AssignmentIter {
-    type Item = Vec<Option<Value>>;
-
-    fn next(&mut self) -> Option<Vec<Option<Value>>> {
-        if self.done {
-            return None;
-        }
-        if !self.started {
-            self.started = true;
-            // All-zeros (every block fresh) is trivially injective.
-            return Some(self.assignment());
-        }
-        loop {
-            if !self.increment() {
-                self.done = true;
-                return None;
-            }
-            if self.injective() {
-                return Some(self.assignment());
-            }
-        }
+/// Whether one of `perms` (flattened, `rgs.len()` entries each) maps the
+/// partition `rgs` to one with a lexicographically smaller
+/// restricted-growth string. The image puts element `i` in block
+/// `rgs[perm[i]]`; renumbering its blocks by first occurrence gives its
+/// string, compared with `rgs` position by position up to the first
+/// difference. `relabel` holds one slot per block.
+fn has_smaller_image(rgs: &[usize], perms: &[u32], relabel: &mut [usize]) -> bool {
+    if perms.is_empty() {
+        return false;
     }
+    perms.chunks_exact(rgs.len()).any(|perm| {
+        relabel.fill(usize::MAX);
+        let mut next = 0;
+        for (&p, &own) in perm.iter().zip(rgs) {
+            let block = &mut relabel[rgs[p as usize]];
+            if *block == usize::MAX {
+                *block = next;
+                next += 1;
+            }
+            match (*block).cmp(&own) {
+                Ordering::Less => return true,
+                Ordering::Greater => return false,
+                Ordering::Equal => {}
+            }
+        }
+        false
+    })
 }
+
+/// The full Def 4.1 stream: every position of [`CompletionSteps`] built,
+/// with no automorphism to skip by.
+pub struct CompletionIter<'a>(CompletionSteps<'a>);
 
 impl<'a> CompletionIter<'a> {
-    fn new(q: &'a ConjunctiveQuery, consts: &BTreeSet<Value>) -> Self {
-        let all_consts: BTreeSet<Value> = consts.union(&q.constants()).copied().collect();
-        let vars: Vec<Variable> = q.variables().into_iter().collect();
-        let const_list: Vec<Value> = all_consts.iter().copied().collect();
-        CompletionIter {
-            partitions: SetPartitionIter::new(vars.len()),
-            q,
-            vars,
-            const_list,
-            all_consts,
-            current: None,
-        }
-    }
-
-    /// Whether a partition respects the query's variable–variable
-    /// disequalities (endpoints must land in different blocks).
-    fn partition_ok(&self, rgs: &[usize]) -> bool {
-        let block_of = |v: Variable| -> usize {
-            let idx = self
-                .vars
-                .iter()
-                .position(|&x| x == v)
-                .expect("variable indexed");
-            rgs[idx]
-        };
-        self.q.diseqs().iter().all(|d| match d.right() {
-            Term::Var(rv) => block_of(d.left()) != block_of(rv),
-            Term::Const(_) => true,
-        })
+    /// The same stream, one [`CompletionStep`] per position: every one a
+    /// [`CompletionStep::Leader`].
+    pub fn into_steps(self) -> CompletionSteps<'a> {
+        self.0
     }
 }
 
@@ -260,27 +418,8 @@ impl Iterator for CompletionIter<'_> {
     type Item = Completion;
 
     fn next(&mut self) -> Option<Completion> {
-        loop {
-            if let Some((rgs, assignments)) = &mut self.current {
-                for assignment in assignments.by_ref() {
-                    if let Some(completion) =
-                        build_completion(self.q, &self.vars, rgs, &assignment, &self.all_consts)
-                    {
-                        return Some(completion);
-                    }
-                }
-                self.current = None;
-            }
-            loop {
-                let rgs = self.partitions.next()?;
-                if self.partition_ok(&rgs) {
-                    let num_blocks = rgs.iter().copied().max().map_or(0, |m| m + 1);
-                    let assignments = AssignmentIter::new(num_blocks, self.const_list.clone());
-                    self.current = Some((rgs, assignments));
-                    break;
-                }
-            }
-        }
+        self.0.advance()?;
+        Some(self.0.build())
     }
 }
 
@@ -290,7 +429,21 @@ pub fn completions_iter<'a>(
     q: &'a ConjunctiveQuery,
     consts: &BTreeSet<Value>,
 ) -> CompletionIter<'a> {
-    CompletionIter::new(q, consts)
+    CompletionIter(CompletionSteps::new(q, consts, &[]))
+}
+
+/// The same stream as [`completions_iter`], one step per position, with
+/// the completions isomorphic to earlier ones under an automorphism of
+/// `q` skipped unbuilt. `Aut(q)` is computed once, by the homomorphism
+/// kernel. The built completions are a subsequence of the full stream
+/// that still holds a member of every isomorphism class in it: a skipped
+/// position's isomorphic predecessor is built or skipped in turn.
+pub fn orbit_completions<'a>(
+    q: &'a ConjunctiveQuery,
+    consts: &BTreeSet<Value>,
+) -> CompletionSteps<'a> {
+    let automorphisms = automorphism_permutations(q, MAX_SYMMETRIES);
+    CompletionSteps::new(q, consts, &automorphisms)
 }
 
 /// All possible completions of `q` w.r.t. `consts`, materialized.
@@ -298,84 +451,6 @@ pub fn completions_iter<'a>(
 /// the consumer can dedupe or prune as it goes — the set is exponential.
 pub fn completions(q: &ConjunctiveQuery, consts: &BTreeSet<Value>) -> Vec<Completion> {
     completions_iter(q, consts).collect()
-}
-
-fn build_completion(
-    q: &ConjunctiveQuery,
-    vars: &[Variable],
-    rgs: &[usize],
-    assignment: &[Option<Value>],
-    all_consts: &BTreeSet<Value>,
-) -> Option<Completion> {
-    // Check variable–constant disequalities: a block assigned constant c
-    // must not contain a variable with the disequality x != c; and distinct
-    // constants are always disequal so var-var diseqs across blocks with
-    // different constants are satisfied automatically.
-    let block_of = |v: Variable| -> usize {
-        let idx = vars.iter().position(|&x| x == v).expect("variable indexed");
-        rgs[idx]
-    };
-    for d in q.diseqs() {
-        match d.right() {
-            Term::Const(c) => {
-                if assignment[block_of(d.left())] == Some(c) {
-                    return None;
-                }
-            }
-            Term::Var(rv) => {
-                // Different blocks by construction; if both blocks map to
-                // constants they are distinct constants (injective
-                // assignment), fine.
-                debug_assert_ne!(block_of(d.left()), block_of(rv));
-            }
-        }
-    }
-    // Build replacement terms per block: constant, or a new variable named
-    // v1, v2, ... as in the paper. Reusing these names across completions
-    // is safe: the replacement is total, so no original variable survives.
-    let mut next_var = 0usize;
-    let block_terms: Vec<Term> = assignment
-        .iter()
-        .map(|slot| match slot {
-            Some(c) => Term::Const(*c),
-            None => {
-                next_var += 1;
-                Term::Var(Variable::new(&format!("v{next_var}")))
-            }
-        })
-        .collect();
-    let mut replacement: BTreeMap<Variable, Term> = BTreeMap::new();
-    for (i, &v) in vars.iter().enumerate() {
-        replacement.insert(v, block_terms[rgs[i]]);
-    }
-    // Substitute into head and atoms; drop q's own disequalities (they are
-    // all satisfied by construction) and add the completeness set instead.
-    let head = q.head().map_terms(&mut |t| replace(t, &replacement));
-    let atoms = q
-        .atoms()
-        .iter()
-        .map(|a| a.map_terms(&mut |t| replace(t, &replacement)))
-        .collect::<Vec<_>>();
-    let fresh_vars: Vec<Variable> = block_terms.iter().filter_map(Term::as_var).collect();
-    let mut diseqs: Vec<Diseq> = Vec::new();
-    for (i, &x) in fresh_vars.iter().enumerate() {
-        for &y in &fresh_vars[i + 1..] {
-            diseqs.push(Diseq::vars(x, y));
-        }
-        for &c in all_consts {
-            diseqs.push(Diseq::var_const(x, c));
-        }
-    }
-    let query =
-        ConjunctiveQuery::new(head, atoms, diseqs).expect("completion preserves well-formedness");
-    Some(Completion { query, replacement })
-}
-
-fn replace(t: Term, replacement: &BTreeMap<Variable, Term>) -> Term {
-    match t {
-        Term::Var(v) => *replacement.get(&v).expect("every variable partitioned"),
-        c @ Term::Const(_) => c,
-    }
 }
 
 /// The canonical rewriting `Can(Q, C)` of a conjunctive query (Def 4.1):
@@ -404,8 +479,10 @@ pub fn canonical_rewriting_union(q: &UnionQuery, consts: &BTreeSet<Value>) -> Un
 /// canonical labeling search completes (it always does for the query sizes
 /// the minimization lattice produces; see [`canonical_key`]).
 ///
-/// Keys are the memoization currency of the minimization engine: candidate
-/// subqueries are deduped by key before any homomorphism search runs.
+/// Keys dedupe queries up to isomorphism where no automorphism is at
+/// hand (`UnionQuery::dedup_isomorphic`, behind the per-adjunct
+/// strategies); the `MinProv` engine skips isomorphic candidates by
+/// [`orbit_completions`] instead.
 ///
 /// The key is a sequence of integer codes: the head (relation id, arity,
 /// terms), the atom count, the atoms sorted (each relation id, arity,
@@ -466,8 +543,7 @@ pub fn canonical_key(q: &ConjunctiveQuery) -> CanonicalKey {
 /// Iterated color refinement: returns the variables (as indices into
 /// `vars`) grouped by final color, groups ordered by color signature.
 /// Signatures are flat integer vectors (interned relation/value ids and
-/// current colors), not strings — canonicalization sits on the
-/// minimization engine's per-candidate hot path.
+/// current colors), not strings.
 fn refine_variable_colors(q: &ConjunctiveQuery, vars: &[Variable]) -> Vec<Vec<usize>> {
     let n = vars.len();
     // `vars` comes from a BTreeSet, so it is sorted: index by binary search.

@@ -18,6 +18,7 @@ use std::sync::OnceLock;
 
 use prov_storage::Value;
 
+use crate::atom::Atom;
 use crate::cq::ConjunctiveQuery;
 use crate::term::{Term, Variable, CONST_TAG};
 
@@ -542,16 +543,53 @@ pub fn are_isomorphic(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
     iso
 }
 
-/// Enumerates the automorphisms of `q`: isomorphisms `q → q`.
-/// Non-automorphism candidates are rejected at the leaf, not collected.
-pub fn automorphisms(q: &ConjunctiveQuery) -> Vec<Homomorphism> {
-    let compiled = CompiledQuery::new(q);
-    let mut results = Vec::new();
+/// The automorphisms of `q` (its isomorphisms onto itself) as
+/// permutations of its variable indices, flattened: with `n` variables,
+/// the `k`-th maps variable `i` to variable `perms[k * n + i]`. Indices
+/// follow the sorted order of [`ConjunctiveQuery::variables`]. Each
+/// permutation appears once, in search order, the identity included.
+///
+/// The search runs over the distinct atoms of `q` — with `k` copies of
+/// an atom it would visit `k!` atom maps per variable map — and keeps
+/// the maps that send each atom to one with as many copies. It stops
+/// after visiting `limit` maps, so the result is then a subset of the
+/// group.
+pub fn automorphism_permutations(q: &ConjunctiveQuery, limit: usize) -> Vec<u32> {
+    let mut perms: Vec<u32> = Vec::new();
+    if limit == 0 {
+        return perms;
+    }
+    let mut copies: BTreeMap<&Atom, usize> = BTreeMap::new();
+    for a in q.atoms() {
+        *copies.entry(a).or_default() += 1;
+    }
+    let copies: Vec<(&Atom, usize)> = copies.into_iter().collect();
+    let distinct = ConjunctiveQuery::new(
+        q.head().clone(),
+        copies.iter().map(|&(a, _)| a.clone()).collect(),
+        q.diseqs().iter().copied(),
+    )
+    .expect("the distinct atoms of a well-formed query are well-formed");
+    let compiled = CompiledQuery::new(&distinct);
+    let mut visited = 0usize;
     isomorphisms(&compiled, &compiled, &mut |s| {
-        results.push(s.homomorphism());
-        Walk::Continue
+        let keeps_copies = s
+            .atom_map
+            .iter()
+            .enumerate()
+            .all(|(i, &j)| copies[i].1 == copies[j as usize].1);
+        if keeps_copies {
+            // An automorphism binds every variable to a variable.
+            perms.extend(s.binding.iter().map(|&c| c as u32));
+        }
+        visited += 1;
+        if visited == limit {
+            Walk::Stop
+        } else {
+            Walk::Continue
+        }
     });
-    results
+    perms
 }
 
 /// The number of automorphisms of `q` (paper Lemma 5.7's `k`), counted
@@ -708,6 +746,23 @@ mod tests {
         // Same body, but the head pins x: only the identity remains.
         let q = parse_cq("ans(x) :- R(x,y), R(y,x), x != y").unwrap();
         assert_eq!(count_automorphisms(&q), 1);
+    }
+
+    #[test]
+    fn automorphism_permutations_list_each_variable_map_once() {
+        // Each variable map has 2 × 2 atom maps over the duplicated atoms.
+        let q = parse_cq("ans() :- R(x,y), R(x,y), R(y,x), R(y,x)").unwrap();
+        assert_eq!(count_automorphisms(&q), 8);
+        assert_eq!(automorphism_permutations(&q, usize::MAX), [0, 1, 1, 0]);
+        assert_eq!(automorphism_permutations(&q, 1), [0, 1]);
+        assert!(automorphism_permutations(&q, 0).is_empty());
+        // Swapping x and y would send the doubled atom to the single one.
+        let q = parse_cq("ans() :- R(x,y), R(x,y), R(y,x)").unwrap();
+        assert_eq!(automorphism_permutations(&q, usize::MAX), [0, 1]);
+        // Twelve copies: one atom map per variable map, not 12! of them.
+        let text = format!("ans() :- {}", ["R(x,y)"; 12].join(", "));
+        let q = parse_cq(&text).unwrap();
+        assert_eq!(automorphism_permutations(&q, usize::MAX), [0, 1]);
     }
 
     #[test]

@@ -102,6 +102,30 @@ fn minimize_q3_output_is_pinned() {
     assert_eq!(stdout(&output), include_str!("fixtures/minimize_q3.out"));
 }
 
+#[test]
+fn minimize_output_is_pinned_on_constants_heads_and_symmetry() {
+    // Recorded with the minimizer that keyed every completion by canonical
+    // form: orbit pruning must not change a byte.
+    for (query, expected) in [
+        (
+            "ans() :- R(x,y), R(y,x), S(x,'a'), S(y,'a')",
+            include_str!("fixtures/minimize_constant.out"),
+        ),
+        (
+            "ans(x) :- R(x,y), R(x,z), S(y,z), S(z,y)",
+            include_str!("fixtures/minimize_head.out"),
+        ),
+        (
+            "ans() :- R(x,y), R(y,z), R(z,x), S(x,u), S(y,v), S(z,w)",
+            include_str!("fixtures/minimize_symmetric.out"),
+        ),
+    ] {
+        let output = provmin(&["minimize", query]);
+        assert_eq!(code(&output), 0, "{query}");
+        assert_eq!(stdout(&output), expected, "{query}");
+    }
+}
+
 /// The query the `load_mix` fixtures were recorded with: a union whose
 /// answers name both relations' named and fresh annotations.
 const LOAD_MIX_QUERY: &str =
